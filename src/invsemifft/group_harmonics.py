@@ -3,8 +3,10 @@ exact group Fourier transforms, with a fast cyclic path.
 
 Covered: characters of Z_k, Young's orthogonal representations of S_k,
 and the induced-from-Young-subgroup construction for wreath products of
-an abelian group by S_k.  Group transforms are exact naive evaluations;
-the cyclic case additionally has a counted radix-2/Bluestein DFT.
+an abelian group by S_k.  Every transform takes a leading batch axis of
+functions.  The dense group transforms are one matrix product per
+representation over the whole batch; the cyclic case also has a counted
+radix-2/Bluestein DFT with one array operation per butterfly stage.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ class GroupRepSet:
     group: GroupTable
     reps: list[Irrep]
     # For recognized cyclic groups: exponent of each element w.r.t. the
-    # chosen generator, enabling the fast DFT path.  reps[j] is then the
-    # character t -> exp(2 pi i j t / k).
+    # chosen generator, enabling the fast DFT path.  The reps must then be
+    # characters, in any order; induce() finds each one's DFT bin.
     cyclic_exponents: list[int] | None = None
 
     @property
@@ -179,26 +181,25 @@ def irreps_symmetric(k: int, cap: int = SYMMETRIC_CAP) -> GroupRepSet:
 # -- cyclic groups ---------------------------------------------------------
 
 def irreps_cyclic(k: int) -> GroupRepSet:
-    group = cyclic_group(k)
-    reps = []
-    for j in range(k):
-        mats = np.array([[[cmath.exp(2j * cmath.pi * j * t / k)]]
-                         for t in range(k)])
-        reps.append(Irrep(f"chi_{j}", 1, mats))
-    return GroupRepSet(group, reps, cyclic_exponents=list(range(k)))
+    return cyclic_repset_for(cyclic_group(k))
 
 
-def cyclic_repset_for(group: GroupTable) -> GroupRepSet:
-    """Character rep set aligned to an arbitrary cyclic group table."""
-    gen = group.generator_if_cyclic()
-    if gen is None:
-        raise CapabilityError("group is not cyclic")
+def _exponents(group: GroupTable, gen: int) -> list[int]:
+    """Exponent of each element as a power of the generator `gen`."""
+    exps, x = [0] * len(group), group.identity
+    for e in range(len(group)):
+        exps[x], x = e, group.mul(x, gen)
+    return exps
+
+
+def cyclic_repset_for(group: GroupTable, gen: int | None = None) -> GroupRepSet:
+    """Character rep set aligned to an arbitrary cyclic group table, with
+    exponents w.r.t. `gen` (default: the first generator)."""
+    gen = group.generator_if_cyclic() if gen is None else gen
+    if gen is None or group.element_order(gen) != len(group):
+        raise CapabilityError("group is not cyclic on that generator")
     k = len(group)
-    exps = [0] * k
-    x, e = group.identity, 0
-    for _ in range(k):
-        exps[x] = e
-        x, e = group.mul(x, gen), e + 1
+    exps = _exponents(group, gen)
     reps = []
     for j in range(k):
         mats = np.array([[[cmath.exp(2j * cmath.pi * j * exps[i] / k)]]
@@ -216,11 +217,7 @@ def abelian_characters(group: GroupTable) -> list[np.ndarray]:
     gen = group.generator_if_cyclic()
     k = len(group)
     if gen is not None:
-        exps = [0] * k
-        x, e = group.identity, 0
-        for _ in range(k):
-            exps[x] = e
-            x, e = group.mul(x, gen), e + 1
+        exps = _exponents(group, gen)
         chars = [np.array([cmath.exp(2j * cmath.pi * j * exps[i] / k)
                            for i in range(k)]) for j in range(k)]
     else:
@@ -396,28 +393,49 @@ class GroupSpectrum:
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def group_ft(values: np.ndarray, reps: GroupRepSet) -> GroupSpectrum:
-    """f_hat(rho) = sum_s f(s) rho(s), exact naive evaluation."""
+def group_ft(values: np.ndarray, reps: GroupRepSet,
+             counter: OpCounter | None = None) -> GroupSpectrum:
+    """f_hat(rho) = sum_s f(s) rho(s) for each row of values (..., |G|):
+    one (rows, |G|) x (|G|, d^2) product per rep, blocks (..., d, d)."""
+    counter = counter if counter is not None else OpCounter()
     values = np.asarray(values, dtype=complex)
-    if values.shape != (len(reps.group),):
+    n = len(reps.group)
+    if values.shape[-1:] != (n,):
         raise ContractError("value vector length must equal |G|")
+    lead = values.shape[:-1]
+    rows = values.reshape(-1, n)
     out = GroupSpectrum()
     for rep in reps.reps:
-        out.blocks[rep.label] = np.einsum("g,gij->ij", values, rep.matrices)
+        d = rep.dim
+        out.blocks[rep.label] = (rows @ rep.matrices.reshape(n, d * d)
+                                 ).reshape(*lead, d, d)
+        counter.multiplications += len(rows) * n * d * d
+        counter.additions += len(rows) * (n - 1) * d * d
     return out
 
 
-def group_ift(spec: GroupSpectrum, reps: GroupRepSet) -> np.ndarray:
-    """f(s) = (1/|G|) sum_rho d_rho tr(f_hat(rho) rho(s^-1))."""
+def group_ift(spec: GroupSpectrum, reps: GroupRepSet,
+              counter: OpCounter | None = None) -> np.ndarray:
+    """f(s) = (1/|G|) sum_rho d_rho tr(f_hat(rho) rho(s^-1)) for blocks
+    (..., d, d).  Per rep, one product of the flattened transposed blocks
+    with the flattened matrices gives tr(f_hat(rho) rho(y)) for every y,
+    read at y = s^-1: nothing assumes rho(s^-1) = rho(s)^T."""
+    counter = counter if counter is not None else OpCounter()
     n = len(reps.group)
-    out = np.zeros(n, dtype=complex)
+    inv = np.asarray(reps.group.inverse)
+    lead = np.shape(spec.blocks.get(reps.reps[0].label))[:-2]
+    rows = math.prod(lead)
+    out = np.zeros((rows, n), dtype=complex)
     for rep in reps.reps:
+        d = rep.dim
         block = spec.blocks.get(rep.label)
-        if block is None or block.shape != (rep.dim, rep.dim):
+        if block is None or block.shape != (*lead, d, d):
             raise ContractError(f"spectrum block missing or misshaped: {rep.label}")
-        for s in range(n):
-            out[s] += rep.dim * np.trace(block @ rep.matrices[reps.group.inv(s)])
-    return out / n
+        flat = np.swapaxes(block, -1, -2).reshape(rows, d * d) * (d / n)
+        out += (flat @ rep.matrices.reshape(n, d * d).T)[:, inv]
+        counter.multiplications += rows * d * d * (n + 1)
+        counter.additions += rows * n * d * d
+    return out.reshape(*lead, n)
 
 
 def validate_repset(reps: GroupRepSet, tol: float = 1e-9,
@@ -445,71 +463,65 @@ def validate_repset(reps: GroupRepSet, tol: float = 1e-9,
 
 
 # -- fast cyclic transforms ------------------------------------------------
+#
+# Each transforms the last axis, so a leading batch axis runs every row
+# through one array operation per butterfly stage.  Counts are per row:
+# a batch costs exactly what its rows cost one at a time.
+
+def _count_pow2(counter: OpCounter, rows: int, n: int) -> None:
+    stages = n.bit_length() - 1
+    counter.multiplications += rows * stages * (n // 2)
+    counter.additions += rows * stages * n
+
 
 def _fft_pow2(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
-    n = len(x)
+    n = x.shape[-1]
     if n & (n - 1):
         raise ContractError("power-of-two length required")
-    a = np.array(x, dtype=complex)
-    # bit reversal
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
+    rev = np.zeros(1, dtype=np.intp)  # bit-reversal permutation
+    while len(rev) < n:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    a = np.asarray(x, dtype=complex)[..., rev]
     m = 2
     while m <= n:
-        w_m = cmath.exp(sign * 2j * cmath.pi / m)
-        for start in range(0, n, m):
-            w = 1.0 + 0j
-            for t in range(m // 2):
-                u = a[start + t]
-                v = a[start + t + m // 2] * w
-                a[start + t] = u + v
-                a[start + t + m // 2] = u - v
-                counter.multiplications += 1
-                counter.additions += 2
-                w *= w_m
+        a = a.reshape(*x.shape[:-1], n // m, m)
+        u = a[..., :m // 2]
+        v = a[..., m // 2:] * np.exp(sign * 2j * np.pi * np.arange(m // 2) / m)
+        a = np.concatenate([u + v, u - v], axis=-1).reshape(x.shape)
         m <<= 1
+    _count_pow2(counter, x.size // n, n)
     return a
 
 
 def _dft_any(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
     """Length-k DFT sum_t x_t e^(sign 2 pi i j t / k); radix-2 or Bluestein."""
-    k = len(x)
+    k = x.shape[-1]
     if k == 1:
         return np.array(x, dtype=complex)
     if k & (k - 1) == 0:
         return _fft_pow2(x, sign, counter)
+    rows = x.size // k
     m = 1
     while m < 2 * k - 1:
         m <<= 1
-    chirp = np.array([cmath.exp(sign * 1j * cmath.pi * (t * t % (2 * k)) / k)
-                      for t in range(k)])
-    a = np.zeros(m, dtype=complex)
-    a[:k] = np.asarray(x, dtype=complex) * chirp
-    counter.multiplications += k
+    t = np.arange(k)
+    chirp = np.exp(sign * 1j * np.pi * (t * t % (2 * k)) / k)
     b = np.zeros(m, dtype=complex)
-    b[0] = 1.0
-    for t in range(1, k):
-        b[t] = b[m - t] = chirp[t].conjugate()
-    fa = _fft_pow2(a, 1, counter)
-    fb = _fft_pow2(b, 1, counter)
-    prod = fa * fb
-    counter.multiplications += m
-    conv = _fft_pow2(prod, -1, counter) / m
-    counter.multiplications += m
-    out = chirp * conv[:k]
-    counter.multiplications += k
-    return out
+    b[:k] = chirp.conj()
+    b[m - k + 1:] = chirp[:0:-1].conj()
+    # The chirp filter does not depend on x: transformed once, counted
+    # once per row like a standalone DFT.
+    fb = _fft_pow2(b, 1, OpCounter())
+    _count_pow2(counter, rows, m)
+    a = np.zeros((*x.shape[:-1], m), dtype=complex)
+    a[..., :k] = x * chirp
+    conv = _fft_pow2(_fft_pow2(a, 1, counter) * fb, -1, counter) / m
+    counter.multiplications += rows * (2 * k + 2 * m)
+    return chirp * conv[..., :k]
 
 
 def cyclic_ft_fast(values: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Spectrum c_j = sum_t f_t e^(+2 pi i j t / k): the character transform."""
+    """Character transform c_j = sum_t f_t e^(+2 pi i j t / k) of each row."""
     counter = counter if counter is not None else OpCounter()
     return _dft_any(np.asarray(values, dtype=complex), +1, counter)
 
@@ -517,7 +529,7 @@ def cyclic_ft_fast(values: np.ndarray, counter: OpCounter | None = None) -> np.n
 def cyclic_ift_fast(spectrum: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Inverse of cyclic_ft_fast: f_t = (1/k) sum_j c_j e^(-2 pi i j t / k)."""
     counter = counter if counter is not None else OpCounter()
-    k = len(spectrum)
-    out = _dft_any(np.asarray(spectrum, dtype=complex), -1, counter) / k
-    counter.multiplications += k
+    spectrum = np.asarray(spectrum, dtype=complex)
+    out = _dft_any(spectrum, -1, counter) / spectrum.shape[-1]
+    counter.multiplications += spectrum.size
     return out

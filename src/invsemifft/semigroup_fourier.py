@@ -2,10 +2,11 @@
 
 The semigroup algebra splits, class by class, into matrix algebras over
 the maximal subgroup algebras.  The forward transform therefore runs in
-two stages: a fast zeta transform into the groupoid basis, then one
-group Fourier transform per D-class and idempotent pair.  The inverse
-runs the stages backwards.  Also here: the direct per-element inversion
-formulas, convolution (naive and spectral), and JSON artifacts.
+two stages: a fast zeta transform into the groupoid basis, then the
+group stage: per D-class, one group Fourier transform batched over all
+its idempotent pairs.  The inverse runs the stages backwards.  Also
+here: the direct per-element inversion formulas, convolution (naive and
+spectral), and JSON artifacts.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ import numpy as np
 from .elements import decode, encode
 from .errors import CapabilityError, ContractError, DomainError
 from .fast_transforms import OpCounter, fast_mobius, fast_zeta
-from .group_harmonics import (GroupRepSet, cyclic_ft_fast, cyclic_ift_fast,
+from .group_harmonics import (GroupRepSet, GroupSpectrum, cyclic_ft_fast,
+                              cyclic_ift_fast, group_ft, group_ift,
                               repset_for_subgroup)
 from .structure import (GROUPOID, SEMIGROUP, FunctionOnS, SemigroupStructure,
                         mobius_naive, zeta_naive)
@@ -43,12 +45,15 @@ class InducedRepSet:
     structure: SemigroupStructure
     class_repsets: list[GroupRepSet]
     entries: list[InducedEntry] = field(default_factory=list)
+    # Per D-class: its entries, and for a cyclic class each rep's DFT bin.
+    class_entries: list[list[InducedEntry]] = field(default_factory=list)
+    cyclic_bins: list[np.ndarray | None] = field(default_factory=list)
 
     def __post_init__(self):
         S = self.structure
         if len(self.class_repsets) != len(S.d_classes):
             raise ContractError("need one representation set per D-class")
-        self.entries = []
+        self.entries, self.class_entries, self.cyclic_bins = [], [], []
         total = 0
         for dc, rs in zip(S.d_classes, self.class_repsets):
             if rs.group is not dc.subgroup and rs.group.keys != dc.subgroup.keys:
@@ -57,12 +62,17 @@ class InducedRepSet:
             if sum(d * d for d in rs.dims) != len(dc.subgroup):
                 raise ContractError(
                     f"class {dc.index}: incomplete representation set")
+            if len({rep.label for rep in rs.reps}) != len(rs.reps):
+                raise ContractError(f"class {dc.index}: repeated rep labels")
             r = dc.num_idempotents
-            for j, rep in enumerate(rs.reps):
-                self.entries.append(InducedEntry(
-                    dc.index, j, f"D{dc.index}:{rep.label}", rep.dim,
-                    r * rep.dim, len(self.entries)))
-                total += (r * rep.dim) ** 2
+            cls = [InducedEntry(dc.index, j, f"D{dc.index}:{rep.label}",
+                                rep.dim, r * rep.dim, len(self.entries) + j)
+                   for j, rep in enumerate(rs.reps)]
+            self.entries += cls
+            self.class_entries.append(cls)
+            self.cyclic_bins.append(None if rs.cyclic_exponents is None
+                                    else _character_bins(rs))
+            total += sum(e.dim ** 2 for e in cls)
         if total != len(S):
             raise ContractError(
                 f"induced dimensions square-sum to {total}, |S| = {len(S)}")
@@ -70,6 +80,25 @@ class InducedRepSet:
     @property
     def dims(self) -> list[int]:
         return [e.dim for e in self.entries]
+
+
+def _character_bins(rs: GroupRepSet, tol: float = 1e-9) -> np.ndarray:
+    """DFT bin j of each rep of a cyclic set, read off its value at the
+    generator.  The rep must be the character x -> exp(2 pi i j e(x) / k)
+    of the cyclic exponents e."""
+    k, exps = len(rs.group), np.asarray(rs.cyclic_exponents)
+    if sorted(rs.cyclic_exponents) != list(range(k)):
+        raise ContractError("cyclic exponents must enumerate 0..k-1")
+    gen = list(rs.cyclic_exponents).index(1 % k)
+    bins = [round(k * np.angle(rep.matrices[gen, 0, 0]) / (2 * np.pi)) % k
+            for rep in rs.reps]
+    for rep, j in zip(rs.reps, bins):
+        if rep.dim != 1 or np.abs(rep.matrices[:, 0, 0]
+                                  - np.exp(2j * np.pi * j * exps / k)).max() > tol:
+            raise ContractError(f"{rep.label}: not a cyclic character")
+    if len(set(bins)) != k:
+        raise ContractError("cyclic characters repeat")
+    return np.array(bins)
 
 
 def induce(S: SemigroupStructure,
@@ -103,31 +132,12 @@ class FourierCoefficients:
         return FourierCoefficients(self.repset, [b.copy() for b in self.blocks])
 
 
-def _coord_grid(S: SemigroupStructure) -> dict[tuple[int, int, int], list[int]]:
-    """(class, ran position, dom position) -> element ids ordered by the
-    local subgroup index of y = p_ran^-1 s p_dom."""
-    if getattr(S, "_coord_grid", None) is None:
-        grid: dict[tuple[int, int, int], list[int]] = {}
-        for dc in S.d_classes:
-            g = len(dc.subgroup)
-            for a in range(dc.num_idempotents):
-                for b in range(dc.num_idempotents):
-                    grid[(dc.index, a, b)] = [0] * g
-        for i, (k, a, b, y) in enumerate(S.element_coords):
-            grid[(k, a, b)][y] = i
-        S._coord_grid = grid
-    return S._coord_grid
-
-
-def _entries_of_class(Y: InducedRepSet, k: int) -> list[InducedEntry]:
-    return [e for e in Y.entries if e.class_index == k]
-
-
 # -- forward and inverse pipelines -----------------------------------------
 
 def fft(f: FunctionOnS, Y: InducedRepSet,
         counter: OpCounter | None = None) -> FourierCoefficients:
-    """Fast zeta into the groupoid basis, then per-pair group transforms."""
+    """Fast zeta into the groupoid basis, then per D-class one group
+    transform batched over all r^2 idempotent pairs."""
     S = f.structure
     if S is not Y.structure:
         raise ContractError("function and representation set disagree on S")
@@ -138,66 +148,48 @@ def fft(f: FunctionOnS, Y: InducedRepSet,
         g = fast_zeta(f, counter)
     except CapabilityError:
         g = zeta_naive(f)
-    grid = _coord_grid(S)
-    out = FourierCoefficients.zeros(Y)
-    for dc, rs in zip(S.d_classes, Y.class_repsets):
-        k = dc.index
-        order = len(dc.subgroup)
-        cls_entries = _entries_of_class(Y, k)
-        for a in range(dc.num_idempotents):
-            for b in range(dc.num_idempotents):
-                ids = grid[(k, a, b)]
-                vals = g.values[np.array(ids)]
-                if rs.cyclic_exponents is not None:
-                    by_exp = np.zeros(order, dtype=complex)
-                    by_exp[rs.cyclic_exponents] = vals
-                    spectrum = cyclic_ft_fast(by_exp, counter)
-                    for j, entry in enumerate(cls_entries):
-                        out.blocks[entry.offset][a, b] = spectrum[j]
-                else:
-                    for entry in cls_entries:
-                        rep = rs.reps[entry.rep_index]
-                        d = rep.dim
-                        blk = np.einsum("g,gij->ij", vals, rep.matrices)
-                        out.blocks[entry.offset][a * d:(a + 1) * d,
-                                                 b * d:(b + 1) * d] = blk
-                        counter.multiplications += order * d * d
-                        counter.additions += (order - 1) * d * d
-    return out
+    blocks = [None] * len(Y.entries)
+    for dc, rs, entries, bins in zip(S.d_classes, Y.class_repsets,
+                                     Y.class_entries, Y.cyclic_bins):
+        r = dc.num_idempotents
+        vals = g.values[dc.coord_ids].reshape(r * r, -1)
+        if bins is not None:
+            by_exp = np.empty_like(vals)
+            by_exp[:, rs.cyclic_exponents] = vals
+            spectrum = cyclic_ft_fast(by_exp, counter)
+            for entry, j in zip(entries, bins):
+                blocks[entry.offset] = spectrum[:, j].reshape(r, r)
+        else:
+            spec = group_ft(vals, rs, counter)
+            for entry, rep in zip(entries, rs.reps):
+                d = rep.dim
+                blocks[entry.offset] = spec.blocks[rep.label].reshape(
+                    r, r, d, d).swapaxes(1, 2).reshape(r * d, r * d)
+    return FourierCoefficients(Y, blocks)
 
 
 def ifft(c: FourierCoefficients,
          counter: OpCounter | None = None) -> FunctionOnS:
-    """Per-block group inversion, then the fast Mobius transform."""
+    """Per D-class one batched group inversion, then the fast Mobius
+    transform."""
     Y = c.repset
     S = Y.structure
     counter = counter if counter is not None else OpCounter()
-    grid = _coord_grid(S)
     gvals = np.zeros(len(S), dtype=complex)
-    for dc, rs in zip(S.d_classes, Y.class_repsets):
-        k = dc.index
-        order = len(dc.subgroup)
-        cls_entries = _entries_of_class(Y, k)
-        for a in range(dc.num_idempotents):
-            for b in range(dc.num_idempotents):
-                ids = grid[(k, a, b)]
-                if rs.cyclic_exponents is not None:
-                    spectrum = np.array([c.blocks[e.offset][a, b]
-                                         for e in cls_entries])
-                    by_exp = cyclic_ift_fast(spectrum, counter)
-                    gvals[np.array(ids)] = by_exp[rs.cyclic_exponents]
-                else:
-                    vals = np.zeros(order, dtype=complex)
-                    for entry in cls_entries:
-                        rep = rs.reps[entry.rep_index]
-                        blk = c.block(entry, a, b)
-                        for y in range(order):
-                            vals[y] += rep.dim * np.trace(
-                                blk @ rep.matrices[rs.group.inv(y)])
-                        counter.multiplications += order * rep.dim ** 3
-                        counter.additions += order * rep.dim ** 2
-                    gvals[np.array(ids)] = vals / order
-                    counter.multiplications += order
+    for dc, rs, entries, bins in zip(S.d_classes, Y.class_repsets,
+                                     Y.class_entries, Y.cyclic_bins):
+        r = dc.num_idempotents
+        if bins is not None:
+            spectrum = np.empty((r * r, len(bins)), dtype=complex)
+            for entry, j in zip(entries, bins):
+                spectrum[:, j] = c.blocks[entry.offset].reshape(r * r)
+            vals = cyclic_ift_fast(spectrum, counter)[:, rs.cyclic_exponents]
+        else:
+            spec = GroupSpectrum({rep.label: c.blocks[e.offset].reshape(
+                r, rep.dim, r, rep.dim).swapaxes(1, 2).reshape(r * r, rep.dim, rep.dim)
+                for e, rep in zip(entries, rs.reps)})
+            vals = group_ift(spec, rs, counter)
+        gvals[dc.coord_ids] = vals.reshape(r, r, -1)
     g = FunctionOnS(S, GROUPOID, gvals)
     try:
         return fast_mobius(g, counter)
@@ -225,7 +217,7 @@ def naive_ft(f: FunctionOnS, Y: InducedRepSet) -> FourierCoefficients:
             continue
         for t in down[s]:
             k, a, b, y = S.element_coords[t]
-            for entry in _entries_of_class(Y, k):
+            for entry in Y.class_entries[k]:
                 rep = Y.class_repsets[k].reps[entry.rep_index]
                 d = rep.dim
                 out.blocks[entry.offset][a * d:(a + 1) * d,
@@ -248,12 +240,7 @@ def steinberg_phi(x: FunctionOnS, k: int) -> np.ndarray:
     support = np.flatnonzero(x.values)
     if any(S.class_of[i] != k for i in support):
         raise ContractError(f"support must lie inside D-class {k}")
-    r = dc.num_idempotents
-    out = np.zeros((r, r, len(dc.subgroup)), dtype=complex)
-    for i in support:
-        _, a, b, y = S.element_coords[i]
-        out[a, b, y] += x.values[i]
-    return out
+    return x.values[dc.coord_ids]
 
 
 def steinberg_phi_inverse(S: SemigroupStructure, k: int,
@@ -262,11 +249,8 @@ def steinberg_phi_inverse(S: SemigroupStructure, k: int,
     r = dc.num_idempotents
     if mat.shape != (r, r, len(dc.subgroup)):
         raise ContractError("matrix shape does not fit the class")
-    grid = _coord_grid(S)
     vals = np.zeros(len(S), dtype=complex)
-    for a in range(r):
-        for b in range(r):
-            vals[np.array(grid[(k, a, b)])] = mat[a, b]
+    vals[dc.coord_ids] = mat
     return FunctionOnS(S, GROUPOID, vals)
 
 
@@ -280,7 +264,7 @@ def invert_groupoid_local(c: FourierCoefficients, s: int) -> complex:
     rs = Y.class_repsets[k]
     y_inv = rs.group.inv(y)
     acc = 0j
-    for entry in _entries_of_class(Y, k):
+    for entry in Y.class_entries[k]:
         rep = rs.reps[entry.rep_index]
         acc += rep.dim * np.trace(c.block(entry, a, b) @ rep.matrices[y_inv])
     return acc / len(rs.group)
@@ -372,7 +356,7 @@ def invert_equivalent_reps(c: FourierCoefficients, s: int,
     s_inv = S.inv(s)
     spectra = X.spectrum(c)
     acc = 0j
-    for entry in _entries_of_class(Y, k):
+    for entry in Y.class_entries[k]:
         acc += entry.group_dim * np.trace(
             spectra[entry.offset] @ X.groupoid_matrix(entry, s_inv))
     return acc / len(S.d_classes[k].subgroup)
@@ -387,7 +371,7 @@ def invert_uniform(c: FourierCoefficients, s: int,
     s_inv = S.inv(s)
     spectra = X.spectrum(c)
     acc = 0j
-    for entry in _entries_of_class(Y, dc.index):
+    for entry in Y.class_entries[dc.index]:
         acc += entry.dim * np.trace(
             spectra[entry.offset] @ X.groupoid_matrix(entry, s_inv))
     return acc / (dc.num_idempotents * len(dc.subgroup))

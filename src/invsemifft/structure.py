@@ -41,6 +41,8 @@ class DClassStructure:
     subgroup: GroupTable               # keys are semigroup element ids
     idem_pos: dict[int, int] = field(default_factory=dict)
     local_of: dict[int, int] = field(default_factory=dict)
+    # (ran position, dom position, local subgroup index) -> element id
+    coord_ids: np.ndarray | None = None
 
     @property
     def num_idempotents(self) -> int:
@@ -145,6 +147,8 @@ class SemigroupStructure:
             dc = DClassStructure(k, members[k], idems, e_k, connectors, subgroup)
             dc.idem_pos = {e: p for p, e in enumerate(idems)}
             dc.local_of = {g: p for p, g in enumerate(subgroup.keys)}
+            dc.coord_ids = np.zeros((len(idems), len(idems), len(subgroup)),
+                                    dtype=np.intp)
             self.d_classes.append(dc)
 
         # Groupoid coordinates: s in D_k corresponds to the subgroup element
@@ -157,8 +161,9 @@ class SemigroupStructure:
                 y = self.mul(self.mul(self.inv(dc.connectors[a]), i),
                              dc.connectors[b])
                 self.class_of[i] = dc.index
-                self.element_coords[i] = (dc.index, dc.idem_pos[a],
-                                          dc.idem_pos[b], dc.local_of[y])
+                coords = (dc.idem_pos[a], dc.idem_pos[b], dc.local_of[y])
+                self.element_coords[i] = (dc.index, *coords)
+                dc.coord_ids[coords] = i
 
     # -- order structure ---------------------------------------------------
 

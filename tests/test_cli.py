@@ -112,6 +112,10 @@ def test_bench_csv(tmp_path):
                                   "additions", "multiplications",
                                   "wall_seconds"]
     assert len(rows) > 4
+    # header, then a zeta and an fft row for each n = 1..4
+    assert len(rows) == 1 + 2 * 4
+    assert [r.split(",")[3] for r in rows[1:]] == \
+        ["zeta+inverse", "fft+inverse"] * 4
 
 
 def test_exit_codes(tmp_path):
