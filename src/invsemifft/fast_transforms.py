@@ -1,13 +1,19 @@
 """Sub-quadratic zeta and Mobius transforms with operation counters.
 
-Three accelerated paths:
-  * an extension-sweep DP for restriction-closed partial-map families
-    (rook, planar_rook, cyclic_shift, wreath_rook),
-  * boolean-lattice passes glued per principal ideal for the rotation
-    monoid, with a correction at the unique rank-0 element,
-  * suffix scans for the chain semilattice.
-Each step of the sweep is a nilpotent update, so the Mobius direction is
-the same sweep with subtractions, run in reverse position order.
+One algorithm, the extension sweep: for i = n, ..., 1, every s in S adds
+the values at the t in S that extend s by one pair at domain point i.  A
+t >= s is then reached along one path, which adds t's extra domain points
+to s in ascending order, so the sweep sums over all t >= s exactly when
+every intermediate restriction along such a path is in S: for all
+idempotents e < f, the domain of e plus the least point of dom(f) - dom(e)
+is an idempotent's domain.  SemigroupStructure checks this once and
+leaves `sweep_steps` None when it fails; the transforms then raise
+CapabilityError.  This covers every built-in family, and any user-built
+semigroup that meets the condition.
+
+Within a step no s is also a t, so each step is I + N with N^2 = 0, and
+the Mobius direction is the same sweep with subtractions, run in reverse
+position order.
 """
 from __future__ import annotations
 
@@ -16,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, ContractError
-from .structure import GROUPOID, SEMIGROUP, FunctionOnS, SemigroupStructure
-
-SWEEP_FAMILIES = ("rook", "planar_rook", "cyclic_shift", "wreath_rook")
+from .structure import GROUPOID, SEMIGROUP, FunctionOnS
 
 
 @dataclass
@@ -35,194 +39,37 @@ class OpCounter:
         self.multiplications += other.multiplications
 
 
-# -- extension sweep -------------------------------------------------------
-
-def _sweep_steps(S: SemigroupStructure) -> list[list[tuple[int, int]]]:
-    """steps[i-1]: all (s, t) with t = s plus one pair at domain point i."""
-    if getattr(S, "_sweep_steps", None) is None:
-        steps: list[list[tuple[int, int]]] = [[] for _ in range(S.n)]
-        for t, el in enumerate(S.elements):
-            for pair in el.pairs:
-                from .elements import PartialMapElement
-                rest = tuple(p for p in el.pairs if p != pair)
-                s = S._id_of.get(PartialMapElement(el.ambient_size, rest))
-                if s is not None:
-                    steps[pair[0] - 1].append((s, t))
-        S._sweep_steps = [sorted(step) for step in steps]
-    return S._sweep_steps
-
-
-def _require_sweep(f: FunctionOnS, basis: str) -> SemigroupStructure:
-    if f.basis != basis:
+def _steps_for(x: FunctionOnS,
+               basis: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    if x.basis != basis:
         raise ContractError(f"expected the {basis} basis")
-    S = f.structure
-    if S.family not in SWEEP_FAMILIES:
+    steps = x.structure.sweep_steps
+    if steps is None:
         raise CapabilityError(
-            f"extension sweep supports {SWEEP_FAMILIES}, not {S.family!r}")
-    return S
+            "the extension sweep is not exact on this semigroup: some "
+            "idempotent e < f lacks e plus the least point of f - e")
+    return steps
 
-
-def zeta_sweep(f: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    S = _require_sweep(f, SEMIGROUP)
-    counter = counter if counter is not None else OpCounter()
-    vals = f.values.copy()
-    steps = _sweep_steps(S)
-    for i in range(S.n - 1, -1, -1):
-        for s, t in steps[i]:
-            vals[s] += vals[t]
-        counter.additions += len(steps[i])
-    return FunctionOnS(S, GROUPOID, vals)
-
-
-def mobius_sweep(g: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    S = _require_sweep(g, GROUPOID)
-    counter = counter if counter is not None else OpCounter()
-    vals = g.values.copy()
-    steps = _sweep_steps(S)
-    for i in range(S.n):
-        for s, t in steps[i]:
-            vals[s] -= vals[t]
-        counter.additions += len(steps[i])
-    return FunctionOnS(S, SEMIGROUP, vals)
-
-
-# -- boolean lattice -------------------------------------------------------
-
-def zeta_boolean(values: np.ndarray, n: int,
-                 counter: OpCounter | None = None) -> np.ndarray:
-    """Superset sums over subsets of an n-set, indexed by bitmask."""
-    counter = counter if counter is not None else OpCounter()
-    out = np.array(values, dtype=complex)
-    if out.shape != (1 << n,):
-        raise ContractError("boolean transform needs 2^n values")
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if not mask & bit:
-                out[mask] += out[mask | bit]
-                counter.additions += 1
-    return out
-
-
-def mobius_boolean(values: np.ndarray, n: int,
-                   counter: OpCounter | None = None) -> np.ndarray:
-    counter = counter if counter is not None else OpCounter()
-    out = np.array(values, dtype=complex)
-    if out.shape != (1 << n,):
-        raise ContractError("boolean transform needs 2^n values")
-    for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if not mask & bit:
-                out[mask] -= out[mask | bit]
-                counter.additions += 1
-    return out
-
-
-# -- rotation monoid -------------------------------------------------------
-
-def _rotation_ideals(S: SemigroupStructure) -> list[list[int]]:
-    """ideals[i][mask]: id of rotation r^i restricted to the domain set `mask`."""
-    if getattr(S, "_rot_ideals", None) is None:
-        from .elements import PartialMapElement
-        n = S.n
-        tables = []
-        for shift in range(n):
-            table = []
-            for mask in range(1 << n):
-                pairs = tuple((i, (i - 1 + shift) % n + 1, 0)
-                              for i in range(1, n + 1) if mask & (1 << (i - 1)))
-                table.append(S.id_of(PartialMapElement(n, pairs)))
-            tables.append(table)
-        S._rot_ideals = tables
-    return S._rot_ideals
-
-
-def _rotation_transform(f: FunctionOnS, in_basis: str, out_basis: str,
-                        boolean_pass, counter: OpCounter) -> FunctionOnS:
-    S = f.structure
-    if S.family != "rotation":
-        raise CapabilityError("rotation transform needs the rotation family")
-    if f.basis != in_basis:
-        raise ContractError(f"expected the {in_basis} basis")
-    n = S.n
-    ideals = _rotation_ideals(S)
-    out = np.zeros(len(S), dtype=complex)
-    bottom_sum = 0j
-    for table in ideals:
-        buf = boolean_pass(f.values[np.array(table)], n, counter)
-        for mask in range(1, 1 << n):
-            out[table[mask]] = buf[mask]
-        bottom_sum += buf[0]
-        counter.additions += 1
-    bottom = ideals[0][0]
-    out[bottom] = (1 - n) * f.values[bottom] + bottom_sum
-    counter.additions += 1
-    counter.multiplications += 1
-    return FunctionOnS(S, out_basis, out)
-
-
-def zeta_rotation(f: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    counter = counter if counter is not None else OpCounter()
-    return _rotation_transform(f, SEMIGROUP, GROUPOID, zeta_boolean, counter)
-
-
-def mobius_rotation(g: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    counter = counter if counter is not None else OpCounter()
-    return _rotation_transform(g, GROUPOID, SEMIGROUP, mobius_boolean, counter)
-
-
-# -- chain semilattice -----------------------------------------------------
-
-def zeta_chain(f: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    """Suffix sums bottom-to-top; exactly n-1 additions."""
-    S = f.structure
-    if S.family != "chain":
-        raise CapabilityError("chain transform needs the chain family")
-    if f.basis != SEMIGROUP:
-        raise ContractError("expected the semigroup basis")
-    counter = counter if counter is not None else OpCounter()
-    vals = f.values.copy()
-    for i in range(len(S) - 2, -1, -1):
-        vals[i] += vals[i + 1]
-        counter.additions += 1
-    return FunctionOnS(S, GROUPOID, vals)
-
-
-def mobius_chain(g: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    """Adjacent differences; exactly n-1 additions."""
-    S = g.structure
-    if S.family != "chain":
-        raise CapabilityError("chain transform needs the chain family")
-    if g.basis != GROUPOID:
-        raise ContractError("expected the groupoid basis")
-    counter = counter if counter is not None else OpCounter()
-    vals = g.values.copy()
-    for i in range(len(S) - 1):
-        vals[i] -= vals[i + 1]
-        counter.additions += 1
-    return FunctionOnS(S, SEMIGROUP, vals)
-
-
-# -- dispatch --------------------------------------------------------------
 
 def fast_zeta(f: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    family = f.structure.family
-    if family in SWEEP_FAMILIES:
-        return zeta_sweep(f, counter)
-    if family == "rotation":
-        return zeta_rotation(f, counter)
-    if family == "chain":
-        return zeta_chain(f, counter)
-    raise CapabilityError(f"no fast zeta transform for family {family!r}")
+    """g(s) = sum of f(t) over t >= s; one addition per step pair."""
+    steps = _steps_for(f, SEMIGROUP)
+    counter = counter if counter is not None else OpCounter()
+    vals = f.values.copy()
+    # add.at accumulates in index order, and no source is a target, so this
+    # is the pair-by-pair loop to the bit.
+    for sources, targets in reversed(steps):
+        np.add.at(vals, sources, vals[targets])
+        counter.additions += len(sources)
+    return FunctionOnS(f.structure, GROUPOID, vals)
 
 
 def fast_mobius(g: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:
-    family = g.structure.family
-    if family in SWEEP_FAMILIES:
-        return mobius_sweep(g, counter)
-    if family == "rotation":
-        return mobius_rotation(g, counter)
-    if family == "chain":
-        return mobius_chain(g, counter)
-    raise CapabilityError(f"no fast Mobius transform for family {family!r}")
+    """The inverse of fast_zeta: the same steps, subtracted, in reverse."""
+    steps = _steps_for(g, GROUPOID)
+    counter = counter if counter is not None else OpCounter()
+    vals = g.values.copy()
+    for sources, targets in steps:
+        np.subtract.at(vals, sources, vals[targets])
+        counter.additions += len(sources)
+    return FunctionOnS(g.structure, SEMIGROUP, vals)

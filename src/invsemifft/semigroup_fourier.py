@@ -452,6 +452,8 @@ def function_from_json(S: SemigroupStructure, data: dict) -> FunctionOnS:
     vals = np.zeros(len(S), dtype=complex)
     for key, (re, im) in data.get("values", {}).items():
         vals[S.id_of(decode(key, S.n))] = complex(re, im)
+    if not np.isfinite(vals).all():
+        raise ContractError("function file holds a non-finite value")
     return FunctionOnS(S, basis, vals)
 
 
@@ -485,10 +487,16 @@ def spectrum_from_json(Y: InducedRepSet, data: dict) -> FourierCoefficients:
         rep = Y.class_repsets[entry.class_index].reps[entry.rep_index]
         if item.get("class") != entry.class_index or item.get("rep") != rep.label:
             raise ContractError("spectrum blocks out of order")
-        flat = item["data"]
-        if len(flat) != 2 * entry.dim ** 2:
+        idems = list(S.d_classes[entry.class_index].idempotent_ids)
+        if item.get("rows") != idems or item.get("cols") != idems:
+            raise ContractError(f"block {rep.label}: rows/cols are not the "
+                                "class's idempotents")
+        flat = np.asarray(item["data"], dtype=float)
+        if flat.shape != (2 * entry.dim ** 2,):
             raise ContractError(f"block {rep.label}: wrong data length")
-        arr = np.array(flat[0::2]) + 1j * np.array(flat[1::2])
+        if not np.isfinite(flat).all():
+            raise ContractError(f"block {rep.label}: non-finite value")
+        arr = flat[0::2] + 1j * flat[1::2]
         blocks.append(arr.reshape(entry.dim, entry.dim))
     return FourierCoefficients(Y, blocks)
 

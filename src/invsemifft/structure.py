@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .elements import (PartialMapElement, compose, inverse_of, natural_leq,
-                       partial_identity)
+from .elements import PartialMapElement, compose, inverse_of, natural_leq
 from .errors import ContractError, DomainError, StructureError
 from .groups import GroupTable
 
@@ -67,6 +66,11 @@ class SemigroupStructure:
         self._upsets: list[list[int]] | None = None
         self._mobius_memo: dict[tuple[int, int], int] = {}
         self._analyze(connector or order_preserving_connector)
+        # sweep_steps[i-1]: the (sources, targets) of every s < t in S where
+        # t extends s by one pair at domain point i, sorted by (s, t); None
+        # when the extension sweep is not exact on S.
+        self.sweep_steps: list[tuple[np.ndarray, np.ndarray]] | None = \
+            self._sweep_steps()
 
     # -- basic arithmetic on canonical ids ---------------------------------
 
@@ -165,6 +169,39 @@ class SemigroupStructure:
                 self.element_coords[i] = (dc.index, *coords)
                 dc.coord_ids[coords] = i
 
+    def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """The extension sweep's steps, or None when the sweep is not exact.
+
+        t's restriction to D is in S iff the partial identity on D is, so
+        point i is removable from t iff dom(t) - {i} is an idempotent's
+        domain.  The sweep adds t's extra points to s in ascending order,
+        so it reaches every t >= s iff those intermediate restrictions are
+        all in S, which _removable_points checks on the idempotents alone.
+        """
+        idems = [self.elements[e].pairs for e in self.idempotents]
+        dom = np.zeros((len(idems), self.n), dtype=bool)
+        dom[[r for r, p in enumerate(idems) for _ in p],
+            [i - 1 for p in idems for i, _, _ in p]] = True
+        removable = _removable_points(dom)
+        if removable is None:
+            return None
+        removable_at = dict(zip(self.idempotents, removable.tolist()))
+        id_of_pairs = {e.pairs: t for t, e in enumerate(self.elements)}
+        sources: list[list[int]] = [[] for _ in range(self.n)]
+        targets: list[list[int]] = [[] for _ in range(self.n)]
+        for t, el in enumerate(self.elements):
+            p, ok = el.pairs, removable_at[self.dom_id[t]]
+            for k, (i, _, _) in enumerate(p):
+                if ok[i - 1]:
+                    sources[i - 1].append(id_of_pairs[p[:k] + p[k + 1:]])
+                    targets[i - 1].append(t)
+        out = []
+        for s, t in zip(sources, targets):
+            s, t = np.array(s, dtype=np.intp), np.array(t, dtype=np.intp)
+            order = np.lexsort((t, s))
+            out.append((s[order], t[order]))
+        return out
+
     # -- order structure ---------------------------------------------------
 
     def downsets(self) -> list[list[int]]:
@@ -213,6 +250,32 @@ class SemigroupStructure:
     def encode_id(self, i: int) -> str:
         from .elements import encode
         return encode(self.elements[i])
+
+
+def _removable_points(dom: np.ndarray) -> np.ndarray | None:
+    """removable[f, i-1]: row f of `dom` (domains as 0/1 rows) minus point i
+    is a row too.  None when some rows e < f have no row e + min(f - e).
+
+    Every pair e < f is met once, with i = min(f - e); f is e + i itself
+    exactly when |f| = |e| + 1, so e + i is a row iff some pair with the
+    same (e, i) is one point apart."""
+    n_rows, n = dom.shape
+    removable = np.zeros_like(dom)
+    if n == 0:
+        return removable                 # the empty domain alone
+    size = dom.sum(1)
+    counts = dom.astype(float)           # exact: shared counts are <= n
+    chunk = max(1, (1 << 20) // max(1, n_rows * n))  # ~1M cells at a time
+    for lo in range(0, n_rows, chunk):
+        inside = counts[lo:lo + chunk] @ counts.T == size[lo:lo + chunk, None]
+        e, f = np.nonzero(inside & (size[lo:lo + chunk, None] < size))
+        e += lo
+        first = (dom[f] & ~dom[e]).argmax(1)
+        step = size[f] == size[e] + 1
+        if not np.isin(e * n + first, e[step] * n + first[step]).all():
+            return None
+        removable[f[step], first[step]] = True
+    return removable
 
 
 # -- functions on S and the quadratic reference transforms -----------------

@@ -6,8 +6,10 @@ import pytest
 
 from invsemifft.cli import (EXIT_CAP, EXIT_CAPABILITY, EXIT_OK, EXIT_PARSE,
                             main, parse_args)
+from invsemifft.errors import ContractError
 from invsemifft.semigroup_fourier import (fft, function_from_json,
-                                          function_to_json, induce)
+                                          function_to_json, induce,
+                                          spectrum_from_json, spectrum_to_json)
 
 from conftest import make_structure, random_function
 
@@ -143,3 +145,38 @@ def test_exit_codes(tmp_path):
 def test_unknown_label_group():
     assert main(["build", "--family", "wreath_rook", "--n", "2",
                  "--label-group", "Q8"]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_function_rejected(tmp_path, bad):
+    S = make_structure("rook", 2)
+    data = function_to_json(random_function(S, np.random.default_rng(8)))
+    data["values"]["#"] = [1.0, bad]
+    with pytest.raises(ContractError):
+        function_from_json(S, data)
+    src, out = tmp_path / "f.json", tmp_path / "spec.json"
+    src.write_text(json.dumps(data))
+    assert main(["fft", "--family", "rook", "--n", "2", "--in", str(src),
+                 "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", ["nan", "inf", "rows", "cols"])
+def test_bad_spectrum_rejected(tmp_path, edit):
+    S = make_structure("rook", 2)
+    Y = induce(S)
+    data = spectrum_to_json(fft(random_function(S, np.random.default_rng(9)), Y))
+    blk = next(b for b in data["blocks"] if len(b["rows"]) > 1)
+    if edit == "nan":
+        blk["data"][0] = float("nan")
+    elif edit == "inf":
+        blk["data"][1] = float("-inf")
+    else:
+        blk[edit] = blk[edit][::-1]
+    with pytest.raises(ContractError):
+        spectrum_from_json(Y, data)
+    src, out = tmp_path / "spec.json", tmp_path / "back.json"
+    src.write_text(json.dumps(data))
+    assert main(["ifft", "--family", "rook", "--n", "2", "--in", str(src),
+                 "--out", str(out)]) == EXIT_PARSE
+    assert not out.exists()

@@ -1,15 +1,16 @@
 """Fast zeta/Mobius transforms against the quadratic reference, plus
 operation-count guarantees."""
+import itertools
+
 import numpy as np
 import pytest
 
+from invsemifft.elements import partial_identity
 from invsemifft.errors import CapabilityError, ContractError
-from invsemifft.fast_transforms import (OpCounter, fast_mobius, fast_zeta,
-                                        mobius_boolean, mobius_chain,
-                                        mobius_sweep, zeta_boolean, zeta_chain,
-                                        zeta_sweep)
+from invsemifft.fast_transforms import OpCounter, fast_mobius, fast_zeta
+from invsemifft.semigroup_fourier import fft, ifft, induce, naive_ft
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
-                                  mobius_naive, zeta_naive)
+                                  SemigroupStructure, mobius_naive, zeta_naive)
 
 from conftest import make_structure, random_function
 
@@ -57,19 +58,54 @@ def test_round_trip_both_directions(family, n, label):
     assert np.abs(again.values - g.values).max() < 1e-12
 
 
+def semilattice(n, domains):
+    """A user-built semigroup: the partial identities on `domains`."""
+    return SemigroupStructure("custom", n,
+                              [partial_identity(n, d) for d in domains])
+
+
+def boolean_semilattice(n):
+    return semilattice(n, [d for k in range(n + 1)
+                           for d in itertools.combinations(range(1, n + 1), k)])
+
+
 def test_boolean_transform_counts_and_inverts():
+    """The boolean lattice of all partial identities takes the fast path."""
     rng = np.random.default_rng(3)
     n = 6
-    v = rng.normal(size=1 << n)
+    S = boolean_semilattice(n)
+    f = random_function(S, rng, real=True)
     c1, c2 = OpCounter(), OpCounter()
-    z = zeta_boolean(v, n, c1)
-    back = mobius_boolean(z, n, c2)
-    assert np.abs(back - v).max() < 1e-12
+    z = fast_zeta(f, c1)
+    back = fast_mobius(z, c2)
+    assert np.abs(back.values - f.values).max() < 1e-12
     assert c1.additions == c2.additions == n * (1 << (n - 1))
     # superset sums by brute force
-    brute = np.array([sum(v[t] for t in range(1 << n) if t & m == m)
-                      for m in range(1 << n)])
-    assert np.abs(z - brute).max() < 1e-10
+    doms = [e.domain for e in S.elements]
+    brute = np.array([sum(f.values[t] for t, d in enumerate(doms) if d >= m)
+                      for m in doms])
+    assert np.abs(z.values - brute).max() < 1e-10
+    Y = induce(S)
+    for a, b in zip(fft(f, Y).blocks, naive_ft(f, Y).blocks):
+        assert np.abs(a - b).max() < 1e-10
+
+
+@pytest.mark.parametrize("domains", [[(), (1, 2, 3)], [(), (2,), (1, 2)]])
+def test_sweep_precondition_fails_closed(domains):
+    """Idempotents e < f without e + min(f - e): no sweep, the quadratic
+    transforms instead."""
+    S = semilattice(3, domains)
+    assert S.sweep_steps is None
+    f = random_function(S, np.random.default_rng(5))
+    with pytest.raises(CapabilityError):
+        fast_zeta(f)
+    with pytest.raises(CapabilityError):
+        fast_mobius(zeta_naive(f))
+    Y = induce(S)
+    c = fft(f, Y)
+    for a, b in zip(c.blocks, naive_ft(f, Y).blocks):
+        assert np.abs(a - b).max() < 1e-10
+    assert np.abs(ifft(c).values - f.values).max() < 1e-9
 
 
 def test_sweep_addition_budget():
@@ -78,7 +114,7 @@ def test_sweep_addition_budget():
         S = make_structure("rook", n)
         f = random_function(S, np.random.default_rng(0))
         c = OpCounter()
-        zeta_sweep(f, c)
+        fast_zeta(f, c)
         assert c.additions == sum(e.rank for e in S.elements)
         assert c.additions <= n * len(S)
         assert c.multiplications == 0
@@ -98,14 +134,14 @@ def test_chain_exact_cost():
         S = make_structure("chain", n)
         f = random_function(S, np.random.default_rng(2))
         c1, c2 = OpCounter(), OpCounter()
-        g = zeta_chain(f, c1)
-        back = mobius_chain(g, c2)
+        g = fast_zeta(f, c1)
+        back = fast_mobius(g, c2)
         assert c1.additions == n - 1 and c1.multiplications == 0
         assert c2.additions == n - 1 and c2.multiplications == 0
         assert np.abs(back.values - f.values).max() < 1e-12
         # integer inputs invert bit-exactly
         fi = FunctionOnS(S, SEMIGROUP, np.arange(1, n + 1, dtype=float))
-        assert np.array_equal(mobius_chain(zeta_chain(fi)).values, fi.values)
+        assert np.array_equal(fast_mobius(fast_zeta(fi)).values, fi.values)
         # the chain zeta is a suffix sum along the nesting order
         ref = zeta_naive(f)
         assert np.abs(g.values - ref.values).max() < 1e-12
@@ -113,13 +149,33 @@ def test_chain_exact_cost():
 
 def test_step_operators_nilpotent():
     """Applying one sweep position twice adds nothing new: each update
-    writes to strictly smaller rank than it reads."""
-    S = make_structure("planar_rook", 3)
-    from invsemifft.fast_transforms import _sweep_steps
-    for step in _sweep_steps(S):
-        sources = {s for s, _ in step}
-        targets = {t for _, t in step}
-        assert not sources & targets
+    writes to strictly smaller rank than it reads.  Sources and targets of
+    a step are disjoint and the sources sorted, which makes the vectorized
+    step equal to the pair-by-pair loop."""
+    structures = [make_structure(*case) for case in CORPUS]
+    for S in [*structures, boolean_semilattice(6)]:
+        assert len(S.sweep_steps) == S.n
+        for sources, targets in S.sweep_steps:
+            assert not set(sources.tolist()) & set(targets.tolist())
+            assert np.all(np.diff(sources) >= 0)
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_vectorized_steps_equal_the_loop(family, n, label):
+    """Each step as one add.at / subtract.at gives the pair-by-pair loop's
+    values to the bit."""
+    S = make_structure(family, n, label)
+    f = random_function(S, np.random.default_rng(14))
+    z, m = f.values.copy(), f.values.copy()
+    for sources, targets in reversed(S.sweep_steps):
+        for s, t in zip(sources, targets):
+            z[s] += z[t]
+    for sources, targets in S.sweep_steps:
+        for s, t in zip(sources, targets):
+            m[s] -= m[t]
+    assert np.array_equal(fast_zeta(f).values, z)
+    g = FunctionOnS(S, GROUPOID, f.values)
+    assert np.array_equal(fast_mobius(g).values, m)
 
 
 def test_basis_contracts():
@@ -128,9 +184,6 @@ def test_basis_contracts():
     g = fast_zeta(f)
     assert f.basis == SEMIGROUP and g.basis == GROUPOID
     with pytest.raises(ContractError):
-        zeta_sweep(g)
+        fast_zeta(g)
     with pytest.raises(ContractError):
-        mobius_sweep(f)
-    chain = make_structure("chain", 3)
-    with pytest.raises(CapabilityError):
-        zeta_sweep(random_function(chain, np.random.default_rng(0)))
+        fast_mobius(f)
