@@ -148,8 +148,8 @@ def reduced_word(perm: tuple[int, ...]) -> list[int]:
 
 
 def yor_matrix(shape: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
-    _, gens = _yor_generators(shape)
-    d = max(1, len(standard_tableaux(shape)))
+    tabs, gens = _yor_generators(shape)
+    d = max(1, len(tabs))
     m = np.eye(d)
     for i in reversed(reduced_word(perm)):
         m = m @ gens[i - 1]

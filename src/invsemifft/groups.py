@@ -2,7 +2,9 @@
 
 A GroupTable indexes its elements 0..|G|-1 in a fixed canonical order and
 multiplies lazily through a key-level product function, so large groups
-(e.g. S_6) do not pay for a full |G| x |G| table up front.
+(e.g. S_6) do not pay for a full |G| x |G| table up front.  The identity
+and the inverses take about 3|G| + sum of element orders products: a few
+per element, never a search over pairs.
 """
 from __future__ import annotations
 
@@ -45,16 +47,25 @@ class GroupTable:
         return self.inverse[i]
 
     def _find_identity(self) -> int:
-        for e in range(len(self.keys)):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x
-                   for x in range(len(self.keys))):
-                return e
-        raise StructureError("no identity element")
+        """A group's only idempotent: the first x with x x = x, accepted
+        once it is a two-sided identity for every element."""
+        n = len(self.keys)
+        e = next((x for x in range(n) if self.mul(x, x) == x), None)
+        if e is None or not all(self.mul(e, x) == x and self.mul(x, e) == x
+                                for x in range(n)):
+            raise StructureError("no identity element")
+        return e
 
     def _find_inverse(self, i: int) -> int:
-        for j in range(len(self.keys)):
-            if self.mul(i, j) == self.identity and self.mul(j, i) == self.identity:
-                return j
+        """Walk i, i^2, ... for at most |G| steps; the power before the
+        identity is the inverse."""
+        prev, x = self.identity, i
+        for _ in range(len(self.keys)):
+            if x == self.identity:
+                if self.mul(i, prev) != self.identity:
+                    break
+                return prev
+            prev, x = x, self.mul(x, i)
         raise StructureError("element without inverse")
 
     def full_table(self) -> list[list[int]]:

@@ -445,13 +445,42 @@ def function_to_json(f: FunctionOnS) -> dict:
     return {"family": S.family, "n": S.n, "basis": f.basis, "values": values}
 
 
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ContractError(f"{what} is not a JSON object")
+    return data
+
+
+def _check_semigroup(S: SemigroupStructure, data, what: str) -> dict:
+    """data, once it is a JSON object naming S's family and n."""
+    data = _json_object(data, f"{what} file")
+    try:
+        same = (data.get("family") == S.family
+                and int(data.get("n", -1)) == S.n)
+    except (TypeError, ValueError):
+        same = False
+    if not same:
+        raise ContractError(f"{what} file is for a different semigroup")
+    return data
+
+
+def _numbers(x, count: int) -> bool:
+    """Whether x is an array of `count` numbers (booleans excluded)."""
+    return (isinstance(x, (list, tuple)) and len(x) == count
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in x))
+
+
 def function_from_json(S: SemigroupStructure, data: dict) -> FunctionOnS:
-    if data.get("family") != S.family or int(data.get("n", -1)) != S.n:
-        raise ContractError("function file is for a different semigroup")
+    data = _check_semigroup(S, data, "function")
     basis = data.get("basis", SEMIGROUP)
     vals = np.zeros(len(S), dtype=complex)
-    for key, (re, im) in data.get("values", {}).items():
-        vals[S.id_of(decode(key, S.n))] = complex(re, im)
+    for key, pair in _json_object(data.get("values", {}),
+                                  "function file's values").items():
+        if not _numbers(pair, 2):
+            raise ContractError(f"value of {key!r} is not a [re, im] pair "
+                                "of numbers")
+        vals[S.id_of(decode(key, S.n))] = complex(*pair)
     if not np.isfinite(vals).all():
         raise ContractError("function file holds a non-finite value")
     return FunctionOnS(S, basis, vals)
@@ -477,23 +506,25 @@ def spectrum_to_json(c: FourierCoefficients) -> dict:
 
 def spectrum_from_json(Y: InducedRepSet, data: dict) -> FourierCoefficients:
     S = Y.structure
-    if data.get("family") != S.family or int(data.get("n", -1)) != S.n:
-        raise ContractError("spectrum file is for a different semigroup")
+    data = _check_semigroup(S, data, "spectrum")
     raw = data.get("blocks", [])
-    if len(raw) != len(Y.entries):
+    if not isinstance(raw, list) or len(raw) != len(Y.entries):
         raise ContractError("spectrum file has the wrong number of blocks")
     blocks = []
     for entry, item in zip(Y.entries, raw):
         rep = Y.class_repsets[entry.class_index].reps[entry.rep_index]
+        item = _json_object(item, f"spectrum block {rep.label}")
         if item.get("class") != entry.class_index or item.get("rep") != rep.label:
             raise ContractError("spectrum blocks out of order")
         idems = list(S.d_classes[entry.class_index].idempotent_ids)
         if item.get("rows") != idems or item.get("cols") != idems:
             raise ContractError(f"block {rep.label}: rows/cols are not the "
                                 "class's idempotents")
-        flat = np.asarray(item["data"], dtype=float)
-        if flat.shape != (2 * entry.dim ** 2,):
-            raise ContractError(f"block {rep.label}: wrong data length")
+        flat = item.get("data")
+        if not _numbers(flat, 2 * entry.dim ** 2):
+            raise ContractError(f"block {rep.label}: data is not "
+                                f"{2 * entry.dim ** 2} numbers")
+        flat = np.asarray(flat, dtype=float)
         if not np.isfinite(flat).all():
             raise ContractError(f"block {rep.label}: non-finite value")
         arr = flat[0::2] + 1j * flat[1::2]

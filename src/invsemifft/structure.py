@@ -104,9 +104,11 @@ class SemigroupStructure:
 
     def _analyze(self, connector: Connector) -> None:
         n_el = len(self.elements)
-        self.idempotents = [i for i in range(n_el) if self.mul(i, i) == i]
-        self.dom_id = [self.mul(self.inv(i), i) for i in range(n_el)]
-        self.ran_id = [self.mul(i, self.inv(i)) for i in range(n_el)]
+        # s s = s for an injective labeled map iff s fixes its domain with
+        # idempotent, hence identity, labels: a partial identity.
+        self.idempotents = [i for i, el in enumerate(self.elements)
+                            if el.is_partial_identity()]
+        self.dom_id, self.ran_id = self._dom_ran_ids()
 
         # D-classes: idempotents e, f are D-related iff some s has dom(s)=e,
         # ran(s)=f; every s links its own dom and ran idempotents.
@@ -160,14 +162,30 @@ class SemigroupStructure:
         self.class_of = [0] * n_el
         self.element_coords: list[tuple[int, int, int, int]] = [None] * n_el
         for dc in self.d_classes:
+            p_inv = {e: self.id_of(inverse_of(self.elements[p], self.label_group))
+                     for e, p in dc.connectors.items()}
             for i in dc.element_ids:
                 a, b = self.ran_id[i], self.dom_id[i]
-                y = self.mul(self.mul(self.inv(dc.connectors[a]), i),
-                             dc.connectors[b])
+                y = self.mul(self.mul(p_inv[a], i), dc.connectors[b])
                 self.class_of[i] = dc.index
                 coords = (dc.idem_pos[a], dc.idem_pos[b], dc.local_of[y])
                 self.element_coords[i] = (dc.index, *coords)
                 dc.coord_ids[coords] = i
+
+    def _dom_ran_ids(self) -> tuple[list[int], list[int]]:
+        """dom_id[i] = i^-1 i and ran_id[i] = i i^-1: the idempotents whose
+        point sets are i's domain and range, looked up from the pairs."""
+        by_points = {tuple(i for i, _, _ in self.elements[e].pairs): e
+                     for e in self.idempotents}
+        dom_id, ran_id = [], []
+        try:
+            for el in self.elements:
+                dom_id.append(by_points[tuple(i for i, _, _ in el.pairs)])
+                ran_id.append(by_points[tuple(sorted(j for _, j, _ in el.pairs))])
+        except KeyError as exc:
+            raise StructureError(f"no idempotent on the points {exc.args[0]} "
+                                 f"of {el!r}") from None
+        return dom_id, ran_id
 
     def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
         """The extension sweep's steps, or None when the sweep is not exact.

@@ -147,11 +147,29 @@ def test_unknown_label_group():
                  "--label-group", "Q8"]) == EXIT_PARSE
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-def test_non_finite_function_rejected(tmp_path, bad):
+# edit -> (what it replaces: one value, the values, the document; with what)
+BAD_FUNCTION_FILES = {
+    "nan": ("value", [1.0, float("nan")]),
+    "inf": ("value", [1.0, float("inf")]),
+    "string": ("value", ["a", 0]),
+    "null": ("value", [None, 0]),
+    "scalar": ("value", 5),
+    "values_list": ("values", [1, 2]),
+    "document_list": ("document", [1, 2]),
+}
+
+
+@pytest.mark.parametrize("edit", list(BAD_FUNCTION_FILES))
+def test_non_finite_function_rejected(tmp_path, edit):
     S = make_structure("rook", 2)
     data = function_to_json(random_function(S, np.random.default_rng(8)))
-    data["values"]["#"] = [1.0, bad]
+    where, bad = BAD_FUNCTION_FILES[edit]
+    if where == "value":
+        data["values"]["#"] = bad
+    elif where == "values":
+        data["values"] = bad
+    else:
+        data = bad
     with pytest.raises(ContractError):
         function_from_json(S, data)
     src, out = tmp_path / "f.json", tmp_path / "spec.json"
@@ -161,16 +179,24 @@ def test_non_finite_function_rejected(tmp_path, bad):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["nan", "inf", "rows", "cols"])
+@pytest.mark.parametrize("edit", ["nan", "inf", "rows", "cols", "string",
+                                  "block_list", "document_list"])
 def test_bad_spectrum_rejected(tmp_path, edit):
     S = make_structure("rook", 2)
     Y = induce(S)
     data = spectrum_to_json(fft(random_function(S, np.random.default_rng(9)), Y))
-    blk = next(b for b in data["blocks"] if len(b["rows"]) > 1)
+    pos, blk = next((p, b) for p, b in enumerate(data["blocks"])
+                    if len(b["rows"]) > 1)
     if edit == "nan":
         blk["data"][0] = float("nan")
     elif edit == "inf":
         blk["data"][1] = float("-inf")
+    elif edit == "string":
+        blk["data"][2] = "a"
+    elif edit == "block_list":
+        data["blocks"][pos] = [1, 2]
+    elif edit == "document_list":
+        data = [1, 2]
     else:
         blk[edit] = blk[edit][::-1]
     with pytest.raises(ContractError):

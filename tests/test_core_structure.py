@@ -3,10 +3,11 @@ natural order, Mobius values, and the groupoid product law."""
 import numpy as np
 import pytest
 
-from invsemifft.elements import compose, inverse_of, partial_identity
-from invsemifft.errors import ContractError, DomainError
+from invsemifft.elements import (PartialMapElement, compose, empty_map,
+                                 inverse_of, partial_identity)
+from invsemifft.errors import ContractError, DomainError, StructureError
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
-                                  mobius_naive, zeta_naive)
+                                  SemigroupStructure, mobius_naive, zeta_naive)
 
 from conftest import make_structure, random_function
 
@@ -58,6 +59,36 @@ def test_dclass_partition(family, n, label):
             assert S.dom_id[p] == dc.rep_idempotent and S.ran_id[p] == e
         dc.subgroup.validate()
     assert sorted(seen) == list(range(len(S)))
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_dom_ran_ids_are_products(family, n, label):
+    """dom_id / ran_id, read from the pairs, equal s^-1 s and s s^-1."""
+    S = make_structure(family, n, label)
+    lg = S.label_group
+    for i, el in enumerate(S.elements):
+        inv = inverse_of(el, lg)
+        assert S.dom_id[i] == S.id_of(compose(inv, el, lg))
+        assert S.ran_id[i] == S.id_of(compose(el, inv, lg))
+
+
+def test_domain_without_idempotent_rejected():
+    # 1 -> 2 without its inverse: no idempotent has the domain {1}
+    with pytest.raises(StructureError, match="no idempotent"):
+        SemigroupStructure("custom", 2,
+                           [empty_map(2), PartialMapElement(2, ((1, 2, 0),))])
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_subgroup_identity_and_inverses(family, n, label):
+    """Each maximal subgroup's identity is its class's representative
+    idempotent, and its inverses are the semigroup's."""
+    S = make_structure(family, n, label)
+    for dc in S.d_classes:
+        g = dc.subgroup
+        assert g.keys[g.identity] == dc.rep_idempotent
+        for x, key in enumerate(g.keys):
+            assert g.inverse[x] == dc.local_of[S.inv(key)]
 
 
 @pytest.mark.parametrize("family,n,label",
