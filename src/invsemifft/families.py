@@ -54,6 +54,10 @@ class FamilySpec:
 
 def predicted_size(spec: FamilySpec) -> int:
     n = spec.n
+    if spec.family == "rotation":
+        return 2 ** n * n - n + 1
+    if spec.family == "chain":
+        return n
     c2 = [math.comb(n, k) ** 2 for k in range(n + 1)]
     if spec.family == "rook":
         return sum(c2[k] * math.factorial(k) for k in range(n + 1))
@@ -61,13 +65,9 @@ def predicted_size(spec: FamilySpec) -> int:
         return sum(c2)
     if spec.family == "cyclic_shift":
         return 1 + sum(c2[k] * k for k in range(1, n + 1))
-    if spec.family == "rotation":
-        return 2 ** n * n - n + 1
     if spec.family == "wreath_rook":
         h = len(spec.label_group)
         return sum(c2[k] * math.factorial(k) * h ** k for k in range(n + 1))
-    if spec.family == "chain":
-        return n
     raise DomainError(spec.family)
 
 
@@ -188,8 +188,11 @@ def build(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> SemigroupStructure:
     """Enumerate the family and run the full structural analysis."""
     predicted = predicted_size(spec)
     if predicted > cap:
+        # Python will not print an int of more than 4,300 digits.
+        size = (predicted if predicted.bit_length() <= 64
+                else f"at least 2^{predicted.bit_length() - 1}")
         raise SizeCapError(
-            f"{spec.family} n={spec.n} has {predicted} elements, over cap {cap}")
+            f"{spec.family} n={spec.n} has {size} elements, over cap {cap}")
     key = (spec.family, spec.n,
            spec.label_group.name if spec.label_group is not None else None, cap)
     hit = _BUILD_CACHE.get(key)

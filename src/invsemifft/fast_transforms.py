@@ -34,10 +34,6 @@ class OpCounter:
     def total(self) -> int:
         return self.additions + self.multiplications
 
-    def merge(self, other: "OpCounter") -> None:
-        self.additions += other.additions
-        self.multiplications += other.multiplications
-
 
 def _steps_for(x: FunctionOnS,
                basis: str) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -5,8 +5,11 @@ Covered: characters of Z_k, Young's orthogonal representations of S_k,
 and the induced-from-Young-subgroup construction for wreath products of
 an abelian group by S_k.  Every transform takes a leading batch axis of
 functions.  The dense group transforms are one matrix product per
-representation over the whole batch; the cyclic case also has a counted
-radix-2/Bluestein DFT with one array operation per butterfly stage.
+representation over the whole batch.  The cyclic DFT is counted: each
+length runs on the dense character product or on radix-2 / Bluestein,
+whichever costs fewer operations per row, so every non-power-of-two
+length up to 47 takes the product.  fft / ifft make one such call per
+group order, over every cyclic class of that order.
 """
 from __future__ import annotations
 
@@ -464,66 +467,126 @@ def validate_repset(reps: GroupRepSet, tol: float = 1e-9,
 
 # -- fast cyclic transforms ------------------------------------------------
 #
-# Each transforms the last axis, so a leading batch axis runs every row
-# through one array operation per butterfly stage.  Counts are per row:
-# a batch costs exactly what its rows cost one at a time.
+# Each transforms the last axis of a batch of rows.  A length-k DFT runs
+# on whichever counted algorithm costs fewer operations per row: the dense
+# character product, or radix-2 (k a power of two) / Bluestein (any other
+# k).  Counts are per row: a batch costs exactly what its rows cost one at
+# a time.  The constants of each (length, sign) are cached read-only.
 
-def _count_pow2(counter: OpCounter, rows: int, n: int) -> None:
-    stages = n.bit_length() - 1
-    counter.multiplications += rows * stages * (n // 2)
-    counter.additions += rows * stages * n
-
-
-def _fft_pow2(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
-    n = x.shape[-1]
-    if n & (n - 1):
-        raise ContractError("power-of-two length required")
-    rev = np.zeros(1, dtype=np.intp)  # bit-reversal permutation
-    while len(rev) < n:
-        rev = np.concatenate([2 * rev, 2 * rev + 1])
-    a = np.asarray(x, dtype=complex)[..., rev]
-    m = 2
-    while m <= n:
-        a = a.reshape(*x.shape[:-1], n // m, m)
-        u = a[..., :m // 2]
-        v = a[..., m // 2:] * np.exp(sign * 2j * np.pi * np.arange(m // 2) / m)
-        a = np.concatenate([u + v, u - v], axis=-1).reshape(x.shape)
-        m <<= 1
-    _count_pow2(counter, x.size // n, n)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
     return a
 
 
-def _dft_any(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
-    """Length-k DFT sum_t x_t e^(sign 2 pi i j t / k); radix-2 or Bluestein."""
-    k = x.shape[-1]
-    if k == 1:
-        return np.array(x, dtype=complex)
+def _pow2_cost(n: int) -> tuple[int, int]:
+    """(additions, multiplications) of one radix-2 DFT of length n."""
+    stages = n.bit_length() - 1
+    return stages * n, stages * (n // 2)
+
+
+def _bluestein_length(k: int) -> int:
+    """The power of two the length-k chirp convolution is padded to."""
+    return 1 << (2 * k - 2).bit_length()
+
+
+@lru_cache(maxsize=None)
+def _dft_algorithm(k: int) -> tuple[str, int, int]:
+    """The cheaper counted algorithm for length k, with its
+    (additions, multiplications) per row.  The dense product costs k^2
+    multiplications and k(k-1) additions; Bluestein three radix-2 DFTs
+    of the padded length m (the chirp filter's counted once per row)
+    plus 2k + 2m multiplications.  A tie goes to the dense product."""
     if k & (k - 1) == 0:
-        return _fft_pow2(x, sign, counter)
-    rows = x.size // k
-    m = 1
-    while m < 2 * k - 1:
+        fast = ("radix2", *_pow2_cost(k))
+    else:
+        m = _bluestein_length(k)
+        adds, mults = _pow2_cost(m)
+        fast = ("bluestein", 3 * adds, 3 * mults + 2 * k + 2 * m)
+    dense = ("dense", k * (k - 1), k * k)
+    return dense if sum(dense[1:]) <= sum(fast[1:]) else fast
+
+
+@lru_cache(maxsize=None)
+def _character_matrix(k: int, sign: int) -> np.ndarray:
+    """W[t, j] = e^(sign 2 pi i j t / k), so a row's DFT is x @ W."""
+    t = np.arange(k)
+    return _readonly(np.exp(sign * 2j * np.pi * (np.outer(t, t) % k) / k))
+
+
+@lru_cache(maxsize=None)
+def _radix2_plan(n: int, sign: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Bit-reversal permutation, and per stage m = 2, 4, ..., n its
+    (m/2, 1) twiddle column."""
+    rev = np.zeros(1, dtype=np.intp)
+    while len(rev) < n:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    twiddles = []
+    m = 2
+    while m <= n:
+        twiddles.append(_readonly(
+            np.exp(sign * 2j * np.pi * np.arange(m // 2) / m)[:, None]))
         m <<= 1
+    return _readonly(rev), tuple(twiddles)
+
+
+def _fft_pow2(a: np.ndarray, sign: int) -> np.ndarray:
+    """Radix-2 DFT along axis 0 of an (n, rows) array, uncounted.  Each
+    butterfly stage is one array operation over the row axis."""
+    n, rows = a.shape
+    rev, twiddles = _radix2_plan(n, sign)
+    a = a[rev]
+    for tw in twiddles:
+        h = len(tw)
+        a = a.reshape(n // (2 * h), 2 * h, rows)
+        u, v = a[:, :h], a[:, h:] * tw
+        a = np.concatenate([u + v, u - v], axis=1)
+    return a.reshape(n, rows)
+
+
+@lru_cache(maxsize=None)
+def _bluestein_plan(k: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 1) chirp and the (m, 1) transformed chirp filter."""
+    m = _bluestein_length(k)
     t = np.arange(k)
     chirp = np.exp(sign * 1j * np.pi * (t * t % (2 * k)) / k)
     b = np.zeros(m, dtype=complex)
     b[:k] = chirp.conj()
     b[m - k + 1:] = chirp[:0:-1].conj()
-    # The chirp filter does not depend on x: transformed once, counted
-    # once per row like a standalone DFT.
-    fb = _fft_pow2(b, 1, OpCounter())
-    _count_pow2(counter, rows, m)
-    a = np.zeros((*x.shape[:-1], m), dtype=complex)
-    a[..., :k] = x * chirp
-    conv = _fft_pow2(_fft_pow2(a, 1, counter) * fb, -1, counter) / m
-    counter.multiplications += rows * (2 * k + 2 * m)
-    return chirp * conv[..., :k]
+    return (_readonly(chirp[:, None]),
+            _readonly(_fft_pow2(b[:, None], 1)))
+
+
+def _bluestein(a: np.ndarray, sign: int) -> np.ndarray:
+    """Length-k DFT along axis 0 of a (k, rows) array as a chirp
+    convolution of power-of-two length, uncounted."""
+    k, rows = a.shape
+    chirp, filt = _bluestein_plan(k, sign)
+    m = len(filt)
+    padded = np.zeros((m, rows), dtype=complex)
+    padded[:k] = a * chirp
+    conv = _fft_pow2(_fft_pow2(padded, 1) * filt, -1) / m
+    return chirp * conv[:k]
+
+
+def _dft_any(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
+    """Length-k DFT sum_t x_t e^(sign 2 pi i j t / k) of each row."""
+    x = np.asarray(x, dtype=complex)
+    k = x.shape[-1]
+    algorithm, adds, mults = _dft_algorithm(k)
+    rows = x.size // k
+    counter.additions += rows * adds
+    counter.multiplications += rows * mults
+    if algorithm == "dense":
+        return x @ _character_matrix(k, sign)
+    a = x.reshape(rows, k).T
+    out = _fft_pow2(a, sign) if algorithm == "radix2" else _bluestein(a, sign)
+    return out.T.reshape(x.shape)
 
 
 def cyclic_ft_fast(values: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Character transform c_j = sum_t f_t e^(+2 pi i j t / k) of each row."""
     counter = counter if counter is not None else OpCounter()
-    return _dft_any(np.asarray(values, dtype=complex), +1, counter)
+    return _dft_any(values, +1, counter)
 
 
 def cyclic_ift_fast(spectrum: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

@@ -68,9 +68,6 @@ class GroupTable:
             prev, x = x, self.mul(x, i)
         raise StructureError("element without inverse")
 
-    def full_table(self) -> list[list[int]]:
-        return [[self.mul(i, j) for j in range(len(self))] for i in range(len(self))]
-
     def element_order(self, i: int) -> int:
         k, x = 1, i
         while x != self.identity:

@@ -40,20 +40,34 @@ class InducedEntry:
     offset: int       # position in the flat block list
 
 
+@dataclass(frozen=True)
+class CyclicBatch:
+    """Every cyclic class of one group order k, for one DFT call.
+
+    ids: (rows, k) element ids, each class's r^2 idempotent pairs in
+    turn, each row in exponent order.  blocks: per rep, its (block
+    offset, first row, r, DFT bin); the block is the r^2 rows from the
+    first row on, read at the bin.
+    """
+    ids: np.ndarray
+    blocks: list[tuple[int, int, int, int]]
+
+
 @dataclass
 class InducedRepSet:
     structure: SemigroupStructure
     class_repsets: list[GroupRepSet]
     entries: list[InducedEntry] = field(default_factory=list)
-    # Per D-class: its entries, and for a cyclic class each rep's DFT bin.
+    # Per D-class: its entries.
     class_entries: list[list[InducedEntry]] = field(default_factory=list)
-    cyclic_bins: list[np.ndarray | None] = field(default_factory=list)
+    # The cyclic classes, stacked by group order k.
+    cyclic_batches: list[CyclicBatch] = field(default_factory=list)
 
     def __post_init__(self):
         S = self.structure
         if len(self.class_repsets) != len(S.d_classes):
             raise ContractError("need one representation set per D-class")
-        self.entries, self.class_entries, self.cyclic_bins = [], [], []
+        self.entries, self.class_entries = [], []
         total = 0
         for dc, rs in zip(S.d_classes, self.class_repsets):
             if rs.group is not dc.subgroup and rs.group.keys != dc.subgroup.keys:
@@ -70,16 +84,34 @@ class InducedRepSet:
                    for j, rep in enumerate(rs.reps)]
             self.entries += cls
             self.class_entries.append(cls)
-            self.cyclic_bins.append(None if rs.cyclic_exponents is None
-                                    else _character_bins(rs))
             total += sum(e.dim ** 2 for e in cls)
         if total != len(S):
             raise ContractError(
                 f"induced dimensions square-sum to {total}, |S| = {len(S)}")
+        self.cyclic_batches = _cyclic_batches(S, self.class_repsets,
+                                              self.class_entries)
 
     @property
     def dims(self) -> list[int]:
         return [e.dim for e in self.entries]
+
+
+def _cyclic_batches(S: SemigroupStructure, class_repsets: list[GroupRepSet],
+                    class_entries: list[list[InducedEntry]]) -> list[CyclicBatch]:
+    ids: dict[int, list[np.ndarray]] = {}
+    blocks: dict[int, list[tuple[int, int, int, int]]] = {}
+    for dc, rs, entries in zip(S.d_classes, class_repsets, class_entries):
+        if rs.cyclic_exponents is None:
+            continue
+        bins = _character_bins(rs)
+        k, r = len(dc.subgroup), dc.num_idempotents
+        by_exp = np.empty((r * r, k), dtype=np.intp)
+        by_exp[:, rs.cyclic_exponents] = dc.coord_ids.reshape(r * r, k)
+        start = sum(map(len, ids.get(k, [])))
+        ids.setdefault(k, []).append(by_exp)
+        blocks.setdefault(k, []).extend(
+            (e.offset, start, r, j) for e, j in zip(entries, bins))
+    return [CyclicBatch(np.concatenate(ids[k]), blocks[k]) for k in sorted(ids)]
 
 
 def _character_bins(rs: GroupRepSet, tol: float = 1e-9) -> np.ndarray:
@@ -149,22 +181,19 @@ def fft(f: FunctionOnS, Y: InducedRepSet,
     except CapabilityError:
         g = zeta_naive(f)
     blocks = [None] * len(Y.entries)
-    for dc, rs, entries, bins in zip(S.d_classes, Y.class_repsets,
-                                     Y.class_entries, Y.cyclic_bins):
+    for batch in Y.cyclic_batches:
+        spectrum = cyclic_ft_fast(g.values[batch.ids], counter)
+        for offset, start, r, j in batch.blocks:
+            blocks[offset] = spectrum[start:start + r * r, j].reshape(r, r)
+    for dc, rs, entries in zip(S.d_classes, Y.class_repsets, Y.class_entries):
+        if rs.cyclic_exponents is not None:
+            continue
         r = dc.num_idempotents
-        vals = g.values[dc.coord_ids].reshape(r * r, -1)
-        if bins is not None:
-            by_exp = np.empty_like(vals)
-            by_exp[:, rs.cyclic_exponents] = vals
-            spectrum = cyclic_ft_fast(by_exp, counter)
-            for entry, j in zip(entries, bins):
-                blocks[entry.offset] = spectrum[:, j].reshape(r, r)
-        else:
-            spec = group_ft(vals, rs, counter)
-            for entry, rep in zip(entries, rs.reps):
-                d = rep.dim
-                blocks[entry.offset] = spec.blocks[rep.label].reshape(
-                    r, r, d, d).swapaxes(1, 2).reshape(r * d, r * d)
+        spec = group_ft(g.values[dc.coord_ids].reshape(r * r, -1), rs, counter)
+        for entry, rep in zip(entries, rs.reps):
+            d = rep.dim
+            blocks[entry.offset] = spec.blocks[rep.label].reshape(
+                r, r, d, d).swapaxes(1, 2).reshape(r * d, r * d)
     return FourierCoefficients(Y, blocks)
 
 
@@ -176,20 +205,19 @@ def ifft(c: FourierCoefficients,
     S = Y.structure
     counter = counter if counter is not None else OpCounter()
     gvals = np.zeros(len(S), dtype=complex)
-    for dc, rs, entries, bins in zip(S.d_classes, Y.class_repsets,
-                                     Y.class_entries, Y.cyclic_bins):
+    for batch in Y.cyclic_batches:
+        spectrum = np.empty(batch.ids.shape, dtype=complex)
+        for offset, start, r, j in batch.blocks:
+            spectrum[start:start + r * r, j] = c.blocks[offset].reshape(r * r)
+        gvals[batch.ids] = cyclic_ift_fast(spectrum, counter)
+    for dc, rs, entries in zip(S.d_classes, Y.class_repsets, Y.class_entries):
+        if rs.cyclic_exponents is not None:
+            continue
         r = dc.num_idempotents
-        if bins is not None:
-            spectrum = np.empty((r * r, len(bins)), dtype=complex)
-            for entry, j in zip(entries, bins):
-                spectrum[:, j] = c.blocks[entry.offset].reshape(r * r)
-            vals = cyclic_ift_fast(spectrum, counter)[:, rs.cyclic_exponents]
-        else:
-            spec = GroupSpectrum({rep.label: c.blocks[e.offset].reshape(
-                r, rep.dim, r, rep.dim).swapaxes(1, 2).reshape(r * r, rep.dim, rep.dim)
-                for e, rep in zip(entries, rs.reps)})
-            vals = group_ift(spec, rs, counter)
-        gvals[dc.coord_ids] = vals.reshape(r, r, -1)
+        spec = GroupSpectrum({rep.label: c.blocks[e.offset].reshape(
+            r, rep.dim, r, rep.dim).swapaxes(1, 2).reshape(r * r, rep.dim, rep.dim)
+            for e, rep in zip(entries, rs.reps)})
+        gvals[dc.coord_ids] = group_ift(spec, rs, counter).reshape(r, r, -1)
     g = FunctionOnS(S, GROUPOID, gvals)
     try:
         return fast_mobius(g, counter)
@@ -530,20 +558,6 @@ def spectrum_from_json(Y: InducedRepSet, data: dict) -> FourierCoefficients:
         arr = flat[0::2] + 1j * flat[1::2]
         blocks.append(arr.reshape(entry.dim, entry.dim))
     return FourierCoefficients(Y, blocks)
-
-
-def repset_to_json(rs: GroupRepSet) -> dict:
-    reps = []
-    for rep in rs.reps:
-        mats = []
-        for m in rep.matrices:
-            flat = []
-            for row in m:
-                for z in row:
-                    flat.extend([z.real, z.imag])
-            mats.append(flat)
-        reps.append({"label": rep.label, "dim": rep.dim, "matrices": mats})
-    return {"group": rs.group.name, "order": len(rs.group), "reps": reps}
 
 
 def dump_json(data: dict, path: str) -> None:

@@ -1,5 +1,6 @@
 """Family builders: element counts, membership predicates, specs."""
 import math
+import time
 
 import pytest
 
@@ -55,6 +56,18 @@ def test_chain_counts():
     assert all(e.is_partial_identity() for e in S.elements)
 
 
+@pytest.mark.parametrize("family,n,size", [
+    ("chain", 10 ** 6, 10 ** 6),
+    ("rotation", 3000, 3000 * 2 ** 3000 - 2999)], ids=["chain", "rotation"])
+def test_closed_form_sizes_return_at_once(family, n, size):
+    """chain and rotation sizes take no binomials, so checking a large n
+    against the cap cannot hang."""
+    spec = FamilySpec(family, n)
+    t0 = time.perf_counter()
+    assert predicted_size(spec) == size
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_cyclic_shift_membership():
     assert is_cyclic_shift(empty_map(4))
     assert is_cyclic_shift(PartialMapElement(4, ((1, 2, 0), (3, 4, 0))))
@@ -105,6 +118,8 @@ def test_spec_json_round_trip():
 def test_size_cap():
     with pytest.raises(SizeCapError):
         build(FamilySpec("rook", 4), cap=100)
+    with pytest.raises(SizeCapError, match="at least 2"):
+        build(FamilySpec("rotation", 20000))
 
 
 def test_restriction_closure():

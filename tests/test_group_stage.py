@@ -35,32 +35,39 @@ def _assert_oracle_and_round_trip(S, repsets, seed=5):
 
 # -- cyclic classes: DFT bins follow the characters, not the list order -----
 
+# cyclic_shift n=3 and 5, and rotation n=6, where classes of one group
+# order share a DFT batch.
+CYCLIC_CASES = [pytest.param("cyclic_shift", 3, id="3"),
+                pytest.param("cyclic_shift", 5, id="5"),
+                pytest.param("rotation", 6, id="rotation-6")]
+
+
 def _reordered(rs, order):
     return GroupRepSet(rs.group, [rs.reps[i] for i in order],
                        cyclic_exponents=rs.cyclic_exponents)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_cyclic_reversed_reps(n):
-    S = make_structure("cyclic_shift", n)
+@pytest.mark.parametrize("family,n", CYCLIC_CASES)
+def test_cyclic_reversed_reps(family, n):
+    S = make_structure(family, n)
     repsets = [_reordered(rs, range(len(rs.reps) - 1, -1, -1))
                for rs in default_irreps(S)]
     _assert_oracle_and_round_trip(S, repsets)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_cyclic_shuffled_reps(n):
-    S = make_structure("cyclic_shift", n)
+@pytest.mark.parametrize("family,n", CYCLIC_CASES)
+def test_cyclic_shuffled_reps(family, n):
+    S = make_structure(family, n)
     rng = np.random.default_rng(n)
     repsets = [_reordered(rs, rng.permutation(len(rs.reps)))
                for rs in default_irreps(S)]
     _assert_oracle_and_round_trip(S, repsets)
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_cyclic_non_default_generator(n):
+@pytest.mark.parametrize("family,n", CYCLIC_CASES)
+def test_cyclic_non_default_generator(family, n):
     """Characters listed for the first generator, exponents for the last."""
-    S = make_structure("cyclic_shift", n)
+    S = make_structure(family, n)
     repsets = []
     for rs in default_irreps(S):
         G = rs.group
@@ -150,7 +157,8 @@ def _expected_counts(S, Y):
     return tuple(fwd), tuple(inv)
 
 
-@pytest.mark.parametrize("family,n", [("rook", 4), ("cyclic_shift", 5)])
+@pytest.mark.parametrize("family,n", [("rook", 4), ("cyclic_shift", 5),
+                                      ("rotation", 6)])
 def test_group_stage_exact_counts(family, n):
     S = make_structure(family, n)
     Y = induce(S)
