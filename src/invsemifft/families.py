@@ -15,7 +15,7 @@ from typing import Optional
 from .elements import PartialMapElement, empty_map, partial_identity
 from .errors import DomainError, SizeCapError, StructureError
 from .groups import DEFAULT_SIZE_CAP, GroupTable, label_group_by_name
-from .structure import SemigroupStructure, order_preserving_connector
+from .structure import SemigroupStructure
 
 FAMILIES = ("rook", "planar_rook", "cyclic_shift", "rotation",
             "wreath_rook", "chain")
@@ -53,21 +53,25 @@ class FamilySpec:
 
 
 def predicted_size(spec: FamilySpec) -> int:
+    """|S| from a closed form, or from the term ratio of count_formula's
+    sum: a few big-integer operations per k, never a table of binomials."""
     n = spec.n
     if spec.family == "rotation":
         return 2 ** n * n - n + 1
     if spec.family == "chain":
         return n
-    c2 = [math.comb(n, k) ** 2 for k in range(n + 1)]
-    if spec.family == "rook":
-        return sum(c2[k] * math.factorial(k) for k in range(n + 1))
     if spec.family == "planar_rook":
-        return sum(c2)
+        return math.comb(2 * n, n)
     if spec.family == "cyclic_shift":
-        return 1 + sum(c2[k] * k for k in range(1, n + 1))
-    if spec.family == "wreath_rook":
-        h = len(spec.label_group)
-        return sum(c2[k] * math.factorial(k) * h ** k for k in range(n + 1))
+        return 1 + n * math.comb(2 * n - 1, n - 1) if n else 1
+    if spec.family in ("rook", "wreath_rook"):
+        h = len(spec.label_group) if spec.label_group is not None else 1
+        # t_k = C(n,k)^2 k! h^k, and t_{k+1} = t_k (n-k)^2 h / (k+1)
+        total = term = 1
+        for k in range(n):
+            term = term * (n - k) ** 2 * h // (k + 1)
+            total += term
+        return total
     raise DomainError(spec.family)
 
 
@@ -169,18 +173,6 @@ def _enumerate(spec: FamilySpec) -> list[PartialMapElement]:
     return out
 
 
-def _rotation_connector(n: int):
-    def connector(e_k: PartialMapElement, e: PartialMapElement) -> PartialMapElement:
-        base = e_k.domain
-        target = e.domain
-        for m in range(n):
-            if frozenset((i - 1 + m) % n + 1 for i in base) == target:
-                return PartialMapElement(
-                    n, tuple((i, (i - 1 + m) % n + 1, 0) for i in sorted(base)))
-        raise StructureError("idempotents not rotation-related")
-    return connector
-
-
 _BUILD_CACHE: dict[tuple, SemigroupStructure] = {}
 
 
@@ -202,9 +194,7 @@ def build(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> SemigroupStructure:
     if len(set(elements)) != predicted:
         raise StructureError(
             f"enumerated {len(set(elements))} elements, expected {predicted}")
-    connector = (_rotation_connector(spec.n) if spec.family == "rotation"
-                 else order_preserving_connector)
     s = SemigroupStructure(spec.family, spec.n, elements,
-                           label_group=spec.label_group, connector=connector)
+                           label_group=spec.label_group)
     _BUILD_CACHE[key] = s
     return s

@@ -1,15 +1,13 @@
 """Sub-quadratic zeta and Mobius transforms with operation counters.
 
-One algorithm, the extension sweep: for i = n, ..., 1, every s in S adds
-the values at the t in S that extend s by one pair at domain point i.  A
-t >= s is then reached along one path, which adds t's extra domain points
-to s in ascending order, so the sweep sums over all t >= s exactly when
-every intermediate restriction along such a path is in S: for all
-idempotents e < f, the domain of e plus the least point of dom(f) - dom(e)
-is an idempotent's domain.  SemigroupStructure checks this once and
-leaves `sweep_steps` None when it fails; the transforms then raise
-CapabilityError.  This covers every built-in family, and any user-built
-semigroup that meets the condition.
+One algorithm, the extension sweep, exact on every inverse semigroup of
+partial maps: for i = n, ..., 1, every s in S adds the values at the t in
+S with i = min(dom t - dom s) and dom t = cl(dom s + {i}), cl(X) being
+the least idempotent domain containing X (SemigroupStructure.sweep_steps).
+Every t >= s is reached from s along exactly one path of such steps, with
+increasing i, so the sweep sums over all t >= s.  Where adding the least
+missing point of an idempotent domain always gives an idempotent domain,
+as in every built-in family, each step extends s by one pair.
 
 Within a step no s is also a t, so each step is I + N with N^2 = 0, and
 the Mobius direction is the same sweep with subtractions, run in reverse
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ContractError
+from .errors import ContractError
 from .structure import GROUPOID, SEMIGROUP, FunctionOnS
 
 
@@ -39,12 +37,7 @@ def _steps_for(x: FunctionOnS,
                basis: str) -> list[tuple[np.ndarray, np.ndarray]]:
     if x.basis != basis:
         raise ContractError(f"expected the {basis} basis")
-    steps = x.structure.sweep_steps
-    if steps is None:
-        raise CapabilityError(
-            "the extension sweep is not exact on this semigroup: some "
-            "idempotent e < f lacks e plus the least point of f - e")
-    return steps
+    return x.structure.sweep_steps
 
 
 def fast_zeta(f: FunctionOnS, counter: OpCounter | None = None) -> FunctionOnS:

@@ -16,13 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import decode, encode
-from .errors import CapabilityError, ContractError, DomainError
+from .errors import ContractError, DomainError
 from .fast_transforms import OpCounter, fast_mobius, fast_zeta
 from .group_harmonics import (GroupRepSet, GroupSpectrum, cyclic_ft_fast,
                               cyclic_ift_fast, group_ft, group_ift,
                               repset_for_subgroup)
-from .structure import (GROUPOID, SEMIGROUP, FunctionOnS, SemigroupStructure,
-                        mobius_naive, zeta_naive)
+from .structure import GROUPOID, SEMIGROUP, FunctionOnS, SemigroupStructure
 
 
 def default_irreps(S: SemigroupStructure) -> list[GroupRepSet]:
@@ -176,10 +175,7 @@ def fft(f: FunctionOnS, Y: InducedRepSet,
     if f.basis != SEMIGROUP:
         raise ContractError("fft expects the semigroup basis")
     counter = counter if counter is not None else OpCounter()
-    try:
-        g = fast_zeta(f, counter)
-    except CapabilityError:
-        g = zeta_naive(f)
+    g = fast_zeta(f, counter)
     blocks = [None] * len(Y.entries)
     for batch in Y.cyclic_batches:
         spectrum = cyclic_ft_fast(g.values[batch.ids], counter)
@@ -218,11 +214,7 @@ def ifft(c: FourierCoefficients,
             r, rep.dim, r, rep.dim).swapaxes(1, 2).reshape(r * r, rep.dim, rep.dim)
             for e, rep in zip(entries, rs.reps)})
         gvals[dc.coord_ids] = group_ift(spec, rs, counter).reshape(r, r, -1)
-    g = FunctionOnS(S, GROUPOID, gvals)
-    try:
-        return fast_mobius(g, counter)
-    except CapabilityError:
-        return mobius_naive(g)
+    return fast_mobius(FunctionOnS(S, GROUPOID, gvals), counter)
 
 
 def naive_ft(f: FunctionOnS, Y: InducedRepSet) -> FourierCoefficients:

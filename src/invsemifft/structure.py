@@ -1,34 +1,28 @@
 """Structural analysis of a finite inverse semigroup of partial maps.
 
-analyze() takes a closed element set and produces the full decomposition:
-idempotents, the natural partial order, Green's D-classes with chosen
-representative idempotents, connectors, maximal subgroup tables, and the
-per-element coordinates under the groupoid decomposition.  It also hosts
-the quadratic zeta/Mobius reference transforms used as oracles everywhere.
+SemigroupStructure takes a closed element set and produces the full
+decomposition: idempotents, the natural partial order, Green's D-classes
+with chosen representative idempotents, connectors, maximal subgroup
+tables, the per-element coordinates under the groupoid decomposition, and
+the steps of the extension sweep.  Every part is read off the elements,
+so any inverse semigroup of partial maps is analysed the same way: the
+connector of idempotent e is the first element, in S's order, from the
+class representative onto e, and the sweep steps along the closures of
+idempotent domains (see _sweep_steps).  This module also hosts the
+quadratic zeta/Mobius reference transforms used as oracles everywhere.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
 from .elements import PartialMapElement, compose, inverse_of, natural_leq
 from .errors import ContractError, DomainError, StructureError
 from .groups import GroupTable
-
-Connector = Callable[[PartialMapElement, PartialMapElement], PartialMapElement]
-
-
-def order_preserving_connector(e_k: PartialMapElement,
-                               e: PartialMapElement) -> PartialMapElement:
-    """The unique order-preserving bijection dom(e_k) -> dom(e), identity labels."""
-    src = sorted(e_k.domain)
-    dst = sorted(e.domain)
-    return PartialMapElement(e_k.ambient_size,
-                             tuple((i, j, 0) for i, j in zip(src, dst)))
-
 
 @dataclass
 class DClassStructure:
@@ -51,12 +45,13 @@ class DClassStructure:
 class SemigroupStructure:
     def __init__(self, family: str, n: int,
                  elements: Sequence[PartialMapElement],
-                 label_group: GroupTable | None = None,
-                 connector: Connector | None = None):
+                 label_group: GroupTable | None = None):
         self.family = family
         self.n = n
         self.label_group = label_group
         self.elements = sorted(elements, key=lambda e: e.sort_key())
+        if any(e.ambient_size != n for e in self.elements):
+            raise StructureError(f"every element must act on {{1..{n}}}")
         self._id_of = {e: i for i, e in enumerate(self.elements)}
         if len(self._id_of) != len(self.elements):
             raise StructureError("duplicate elements")
@@ -65,11 +60,9 @@ class SemigroupStructure:
         self._downsets: list[list[int]] | None = None
         self._upsets: list[list[int]] | None = None
         self._mobius_memo: dict[tuple[int, int], int] = {}
-        self._analyze(connector or order_preserving_connector)
-        # sweep_steps[i-1]: the (sources, targets) of every s < t in S where
-        # t extends s by one pair at domain point i, sorted by (s, t); None
-        # when the extension sweep is not exact on S.
-        self.sweep_steps: list[tuple[np.ndarray, np.ndarray]] | None = \
+        self._analyze()
+        # sweep_steps[i-1]: the (sources, targets) of step i, sorted by (s, t).
+        self.sweep_steps: list[tuple[np.ndarray, np.ndarray]] = \
             self._sweep_steps()
 
     # -- basic arithmetic on canonical ids ---------------------------------
@@ -102,7 +95,7 @@ class SemigroupStructure:
 
     # -- structural analysis -----------------------------------------------
 
-    def _analyze(self, connector: Connector) -> None:
+    def _analyze(self) -> None:
         n_el = len(self.elements)
         # s s = s for an injective labeled map iff s fixes its domain with
         # idempotent, hence identity, labels: a partial identity.
@@ -135,17 +128,21 @@ class SemigroupStructure:
         for i in range(n_el):
             members[class_of_root[find(self.ran_id[i])]].append(i)
 
+        # The connector p_e of idempotent e is the first element of S from
+        # the class representative e_k onto e; p_{e_k} = e_k, the identity
+        # on dom(e_k) being the least map from dom(e_k) onto itself.
+        first_from_to: dict[tuple[int, int], int] = {}
+        for i in range(n_el):
+            first_from_to.setdefault((self.dom_id[i], self.ran_id[i]), i)
+
         self.d_classes: list[DClassStructure] = []
         for k, root in enumerate(roots):
             idems = sorted(groups[root])
             e_k = idems[0]
-            e_k_el = self.elements[e_k]
-            connectors: dict[int, int] = {}
-            for e in idems:
-                p = e_k if e == e_k else self.id_of(connector(e_k_el, self.elements[e]))
-                if self.dom_id[p] != e_k or self.ran_id[p] != e:
-                    raise StructureError("connector with wrong domain or range")
-                connectors[e] = p
+            connectors = {e: first_from_to.get((e_k, e)) for e in idems}
+            if None in connectors.values():
+                raise StructureError(f"no element maps idempotent {e_k} onto "
+                                     f"every idempotent of its D-class")
             sub_ids = [i for i in members[k]
                        if self.dom_id[i] == e_k and self.ran_id[i] == e_k]
             subgroup = GroupTable(sorted(sub_ids), self.mul,
@@ -187,32 +184,43 @@ class SemigroupStructure:
                                  f"of {el!r}") from None
         return dom_id, ran_id
 
-    def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
-        """The extension sweep's steps, or None when the sweep is not exact.
+    def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The extension sweep's steps: step i holds every s < t in S with
+        i = min(dom t - dom s) and dom t = cl(dom s + {i}), where cl(X) is
+        the least idempotent domain containing X.
 
-        t's restriction to D is in S iff the partial identity on D is, so
-        point i is removable from t iff dom(t) - {i} is an idempotent's
-        domain.  The sweep adds t's extra points to s in ascending order,
-        so it reaches every t >= s iff those intermediate restrictions are
-        all in S, which _removable_points checks on the idempotents alone.
+        E(S) is closed under intersection, so cl exists, and s < t is
+        joined by exactly one path of steps with increasing i: each step
+        adds only points >= its index, so the first is forced, and so on.
+        The sources of a target t are t restricted to each D that
+        _closure_steps lists for dom t; every t with one domain has its
+        pairs at the same positions, so one itemgetter serves them all.
         """
         idems = [self.elements[e].pairs for e in self.idempotents]
         dom = np.zeros((len(idems), self.n), dtype=bool)
         dom[[r for r, p in enumerate(idems) for _ in p],
             [i - 1 for p in idems for i, _, _ in p]] = True
-        removable = _removable_points(dom)
-        if removable is None:
-            return None
-        removable_at = dict(zip(self.idempotents, removable.tolist()))
-        id_of_pairs = {e.pairs: t for t, e in enumerate(self.elements)}
+        targets_on: dict[int, list[int]] = {e: [] for e in self.idempotents}
+        for t, e in enumerate(self.dom_id):
+            targets_on[e].append(t)
+        pairs = [e.pairs for e in self.elements]
+        id_of_pairs = {p: t for t, p in enumerate(pairs)}
+        d, f, point = _closure_steps(dom)
+        # positions of D's points among F's, in ascending order like t.pairs
+        in_d = dom[d]
+        rows, cols = np.nonzero(in_d)
+        pos = (np.cumsum(dom[f], 1)[rows, cols] - 1).tolist()
+        ends = np.cumsum(in_d.sum(1)).tolist()
         sources: list[list[int]] = [[] for _ in range(self.n)]
         targets: list[list[int]] = [[] for _ in range(self.n)]
-        for t, el in enumerate(self.elements):
-            p, ok = el.pairs, removable_at[self.dom_id[t]]
-            for k, (i, _, _) in enumerate(p):
-                if ok[i - 1]:
-                    sources[i - 1].append(id_of_pairs[p[:k] + p[k + 1:]])
-                    targets[i - 1].append(t)
+        for row, i, lo, hi in zip(f.tolist(), point.tolist(), [0] + ends, ends):
+            at = pos[lo:hi]
+            # itemgetter of one position would return the bare pair
+            restrict = (itemgetter(*at) if len(at) > 1
+                        else lambda p, at=at: tuple(p[k] for k in at))
+            on_f = targets_on[self.idempotents[row]]
+            sources[i].extend([id_of_pairs[restrict(pairs[t])] for t in on_f])
+            targets[i].extend(on_f)
         out = []
         for s, t in zip(sources, targets):
             s, t = np.array(s, dtype=np.intp), np.array(t, dtype=np.intp)
@@ -270,30 +278,37 @@ class SemigroupStructure:
         return encode(self.elements[i])
 
 
-def _removable_points(dom: np.ndarray) -> np.ndarray | None:
-    """removable[f, i-1]: row f of `dom` (domains as 0/1 rows) minus point i
-    is a row too.  None when some rows e < f have no row e + min(f - e).
+def _closure_steps(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows d, rows f and points i (0-based) with row f = cl(row d + {i})
+    and i = min(f - d), for `dom` the idempotent domains as 0/1 rows.
 
-    Every pair e < f is met once, with i = min(f - e); f is e + i itself
-    exactly when |f| = |e| + 1, so e + i is a row iff some pair with the
-    same (e, i) is one point apart."""
+    Every pair d < f is met once, with i = min(f - d).  The rows f with
+    the same (d, i) are those holding d + {i} and no other point below i,
+    so cl(d + {i}) is the smallest of them, and lies inside all the rest.
+    If it does not, the domains are not closed under intersection."""
     n_rows, n = dom.shape
-    removable = np.zeros_like(dom)
+    none = np.zeros(0, dtype=np.intp)
     if n == 0:
-        return removable                 # the empty domain alone
+        return none, none, none          # the empty domain alone
     size = dom.sum(1)
     counts = dom.astype(float)           # exact: shared counts are <= n
     chunk = max(1, (1 << 20) // max(1, n_rows * n))  # ~1M cells at a time
+    out = [(none, none, none)]
     for lo in range(0, n_rows, chunk):
         inside = counts[lo:lo + chunk] @ counts.T == size[lo:lo + chunk, None]
-        e, f = np.nonzero(inside & (size[lo:lo + chunk, None] < size))
-        e += lo
-        first = (dom[f] & ~dom[e]).argmax(1)
-        step = size[f] == size[e] + 1
-        if not np.isin(e * n + first, e[step] * n + first[step]).all():
-            return None
-        removable[f[step], first[step]] = True
-    return removable
+        d, f = np.nonzero(inside & (size[lo:lo + chunk, None] < size))
+        d += lo
+        first = (dom[f] & ~dom[d]).argmax(1)
+        order = np.lexsort((size[f], first, d))
+        d, f, first = d[order], f[order], first[order]
+        head = np.ones(len(d), dtype=bool)
+        head[1:] = (d[1:] != d[:-1]) | (first[1:] != first[:-1])
+        least = f[head][np.cumsum(head) - 1]
+        if (dom[least] & ~dom[f]).any():
+            raise StructureError("the idempotent domains are not closed "
+                                 "under intersection")
+        out.append((d[head], f[head], first[head]))
+    return tuple(np.concatenate(a) for a in zip(*out))
 
 
 # -- functions on S and the quadratic reference transforms -----------------

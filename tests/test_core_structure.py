@@ -62,6 +62,30 @@ def test_dclass_partition(family, n, label):
 
 
 @pytest.mark.parametrize("family,n,label", CORPUS)
+def test_connectors_are_the_family_bijections(family, n, label):
+    """The first element from e_k onto e is the order-preserving bijection,
+    or on rotation the restriction of the least rotation that fits."""
+    S = make_structure(family, n, label)
+    for dc in S.d_classes:
+        base = sorted(S.elements[dc.rep_idempotent].domain)
+        for e, p in dc.connectors.items():
+            dst = sorted(S.elements[e].domain)
+            if family == "rotation":
+                m = next(m for m in range(n)
+                         if sorted((i - 1 + m) % n + 1 for i in base) == dst)
+                dst = [(i - 1 + m) % n + 1 for i in base]
+            assert S.elements[p] == PartialMapElement(
+                n, tuple((i, j, 0) for i, j in zip(base, dst)))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_ambient_size_mismatch_rejected(n):
+    elements = [empty_map(3), partial_identity(3, [1, 2, 3])]
+    with pytest.raises(StructureError, match="act on"):
+        SemigroupStructure("custom", n, elements)
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
 def test_dom_ran_ids_are_products(family, n, label):
     """dom_id / ran_id, read from the pairs, equal s^-1 s and s s^-1."""
     S = make_structure(family, n, label)

@@ -6,7 +6,7 @@ import pytest
 
 from invsemifft.elements import PartialMapElement, empty_map
 from invsemifft.errors import DomainError, SizeCapError, StructureError
-from invsemifft.families import (FamilySpec, build, is_cyclic_shift,
+from invsemifft.families import (FAMILIES, FamilySpec, build, is_cyclic_shift,
                                  is_partial_rotation, predicted_size,
                                  rot_orbit_size)
 from invsemifft.groups import cyclic_group, symmetric_group
@@ -56,16 +56,59 @@ def test_chain_counts():
     assert all(e.is_partial_identity() for e in S.elements)
 
 
+def laguerre_size(n, h):
+    """sum_k C(n,k)^2 k! h^k by its three-term (Laguerre) recurrence
+    a_m = ((2m-1)h + 1) a_{m-1} - (m-1)^2 h^2 a_{m-2}."""
+    a, b = 1, 1 + h
+    for m in range(2, n + 1):
+        a, b = b, ((2 * m - 1) * h + 1) * b - (m - 1) ** 2 * h * h * a
+    return b if n else a
+
+
 @pytest.mark.parametrize("family,n,size", [
     ("chain", 10 ** 6, 10 ** 6),
-    ("rotation", 3000, 3000 * 2 ** 3000 - 2999)], ids=["chain", "rotation"])
+    ("rotation", 3000, 3000 * 2 ** 3000 - 2999),
+    ("planar_rook", 6000, math.comb(12000, 6000)),
+    ("cyclic_shift", 6000, 1 + 6000 * math.comb(11999, 5999)),
+    ("rook", 3000, laguerre_size(3000, 1)),
+    ("wreath_rook", 1000, laguerre_size(1000, 2))],
+    ids=["chain", "rotation", "planar_rook", "cyclic_shift", "rook",
+         "wreath_rook"])
 def test_closed_form_sizes_return_at_once(family, n, size):
-    """chain and rotation sizes take no binomials, so checking a large n
-    against the cap cannot hang."""
-    spec = FamilySpec(family, n)
+    """Every size comes from a closed form or a term recurrence, so checking
+    a large n against the cap cannot hang.  wreath_rook has labels Z2."""
+    spec = FamilySpec(family, n,
+                      cyclic_group(2) if family == "wreath_rook" else None)
     t0 = time.perf_counter()
     assert predicted_size(spec) == size
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_sizes_equal_their_defining_sums():
+    """predicted_size equals the sum it stands for, exactly, for n <= 30."""
+    C = math.comb
+    sums = {
+        "rook": lambda n, h: sum(C(n, k) ** 2 * math.factorial(k)
+                                 for k in range(n + 1)),
+        "planar_rook": lambda n, h: sum(C(n, k) ** 2 for k in range(n + 1)),
+        "cyclic_shift": lambda n, h: 1 + sum(C(n, k) ** 2 * k
+                                             for k in range(1, n + 1)),
+        # the empty map, and each of the n rotations on each nonempty subset
+        "rotation": lambda n, h: 1 + sum(C(n, k) * n for k in range(1, n + 1)),
+        "wreath_rook": lambda n, h: sum(C(n, k) ** 2 * math.factorial(k) * h ** k
+                                        for k in range(n + 1)),
+        "chain": lambda n, h: n,
+    }
+    assert sorted(sums) == sorted(FAMILIES)
+    for family, total in sums.items():
+        labels = ([cyclic_group(2), cyclic_group(3), symmetric_group(3)]
+                  if family == "wreath_rook" else [None])
+        for lg in labels:
+            h = len(lg) if lg is not None else 1
+            for n in range(1 if family in ("rotation", "chain") else 0, 31):
+                assert predicted_size(FamilySpec(family, n, lg)) == total(n, h)
+    assert all(laguerre_size(n, h) == sums["wreath_rook"](n, h)
+               for n in range(31) for h in (1, 2, 6))
 
 
 def test_cyclic_shift_membership():

@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from invsemifft.elements import partial_identity
-from invsemifft.errors import CapabilityError, ContractError
+from invsemifft.elements import (PartialMapElement, compose, inverse_of,
+                                 partial_identity)
+from invsemifft.errors import CapabilityError, ContractError, StructureError
 from invsemifft.fast_transforms import OpCounter, fast_mobius, fast_zeta
 from invsemifft.semigroup_fourier import fft, ifft, induce, naive_ft
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
@@ -90,22 +91,93 @@ def test_boolean_transform_counts_and_inverts():
         assert np.abs(a - b).max() < 1e-10
 
 
-@pytest.mark.parametrize("domains", [[(), (1, 2, 3)], [(), (2,), (1, 2)]])
+@pytest.mark.parametrize("domains", [[(), (1, 2, 3)], [(), (2,), (1, 2)],
+                                     [(), (1,), (2,), (1, 2, 3)]])
 def test_sweep_precondition_fails_closed(domains):
-    """Idempotents e < f without e + min(f - e): no sweep, the quadratic
-    transforms instead."""
+    """Idempotents e < f without e + min(f - e), where the old one-point
+    sweep was not exact: the closure sweep is."""
     S = semilattice(3, domains)
-    assert S.sweep_steps is None
     f = random_function(S, np.random.default_rng(5))
-    with pytest.raises(CapabilityError):
-        fast_zeta(f)
-    with pytest.raises(CapabilityError):
-        fast_mobius(zeta_naive(f))
+    assert np.abs(fast_zeta(f).values - zeta_naive(f).values).max() < 1e-12
+    assert np.abs(fast_mobius(fast_zeta(f)).values - f.values).max() < 1e-12
     Y = induce(S)
     c = fft(f, Y)
     for a, b in zip(c.blocks, naive_ft(f, Y).blocks):
         assert np.abs(a - b).max() < 1e-10
     assert np.abs(ifft(c).values - f.values).max() < 1e-9
+
+
+def test_idempotents_not_closed_under_intersection_rejected():
+    # {1,2} and {1,3} both extend the empty domain first at point 1, and
+    # neither lies inside the other: {1} is missing.
+    with pytest.raises(StructureError, match="intersection"):
+        semilattice(3, [(), (1, 2), (1, 3)])
+
+
+def generated(gens, cap=400):
+    """The inverse semigroup generated by `gens`, or None past `cap`
+    elements."""
+    gens = gens + [inverse_of(g) for g in gens]
+    seen, frontier = set(gens), list(gens)
+    while frontier and len(seen) <= cap:
+        new = {c for a in frontier for g in gens
+               for c in (compose(a, g), compose(g, a))} - seen
+        seen |= new
+        frontier = list(new)
+    return None if len(seen) > cap else sorted(seen)
+
+
+def random_map(rng, n):
+    r = int(rng.integers(1, n + 1))
+    dom, img = (rng.choice(np.arange(1, n + 1), r, replace=False)
+                for _ in range(2))
+    return PartialMapElement(n, tuple((int(i), int(j), 0)
+                                      for i, j in zip(dom, img)))
+
+
+def check_transforms(S):
+    """fast zeta/Mobius equal the oracles; where the built-in subgroup
+    representations apply, fft equals naive_ft and ifft inverts it.
+    Returns whether the second part ran."""
+    f = random_function(S, np.random.default_rng(6))
+    z = fast_zeta(f)
+    assert np.abs(z.values - zeta_naive(f).values).max() < 1e-10
+    assert np.abs(fast_mobius(z).values - f.values).max() < 1e-10
+    try:
+        Y = induce(S)
+    except CapabilityError:          # a maximal subgroup is not cyclic
+        return False
+    c = fft(f, Y)
+    for a, b in zip(c.blocks, naive_ft(f, Y).blocks):
+        assert np.abs(a - b).max() < 1e-9
+    assert np.abs(ifft(c).values - f.values).max() < 1e-9
+    return True
+
+
+def test_semigroup_without_order_preserving_connectors():
+    """s = {1->3, 2->1} generates 14 maps; dom {1,2} reaches ran {1,3}
+    only by s itself, which is not order preserving."""
+    elements = generated([PartialMapElement(3, ((1, 3, 0), (2, 1, 0)))])
+    S = SemigroupStructure("custom", 3, elements)
+    assert len(S) == 14
+    assert check_transforms(S)
+
+
+def test_random_generated_semigroups():
+    """Inverse semigroups closed from 1-3 random partial maps on n = 3-5
+    points: every one builds, and the transforms are exact on each."""
+    rng = np.random.default_rng(2024)
+    cases = 0
+    full = 0
+    while cases < 60:
+        n = int(rng.integers(3, 6))
+        elements = generated([random_map(rng, n)
+                              for _ in range(int(rng.integers(1, 4)))])
+        if elements is None:
+            continue
+        cases += 1
+        full += check_transforms(SemigroupStructure("custom", n, elements))
+    assert full >= 56              # every case with cyclic maximal subgroups
 
 
 def test_sweep_addition_budget():
@@ -158,6 +230,24 @@ def test_step_operators_nilpotent():
         for sources, targets in S.sweep_steps:
             assert not set(sources.tolist()) & set(targets.tolist())
             assert np.all(np.diff(sources) >= 0)
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_family_steps_extend_by_one_pair(family, n, label):
+    """On the built-in families an idempotent domain plus its least missing
+    point is one, so step i holds exactly (t without its pair at i, t) for
+    the t whose domain minus i is an idempotent's domain."""
+    S = make_structure(family, n, label)
+    domains = {S.elements[e].domain for e in S.idempotents}
+    expect = [[] for _ in range(S.n)]
+    for t, el in enumerate(S.elements):
+        for k, (i, _, _) in enumerate(el.pairs):
+            if el.domain - {i} in domains:
+                s = S.id_of(PartialMapElement(
+                    S.n, el.pairs[:k] + el.pairs[k + 1:]))
+                expect[i - 1].append((s, t))
+    for (sources, targets), pairs in zip(S.sweep_steps, expect, strict=True):
+        assert list(zip(sources.tolist(), targets.tolist())) == sorted(pairs)
 
 
 @pytest.mark.parametrize("family,n,label", CORPUS)
