@@ -3,7 +3,13 @@ exact group Fourier transforms, with a fast cyclic path.
 
 Covered: characters of Z_k, Young's orthogonal representations of S_k,
 and the induced-from-Young-subgroup construction for wreath products of
-an abelian group by S_k.  Every transform takes a leading batch axis of
+an abelian group by S_k.  The S_k and wreath representations are given
+by their matrices on generators: the adjacent transpositions, plus each
+non-identity label at point 1 for G wr S_k.  A breadth-first walk of the
+Cayley graph from the identity, cached per group, fills each (|G|, d, d)
+tensor with one batched product per (layer, generator), rho(g s) =
+rho(g) rho(s); no element's matrix is evaluated on its own.  Every
+transform takes a leading batch axis of
 functions.  The dense group transforms are one matrix product per
 representation over the whole batch.  The cyclic DFT is counted: each
 length runs on the dense character product or on radix-2 / Bluestein,
@@ -23,7 +29,8 @@ import numpy as np
 
 from .errors import CapabilityError, ContractError, DomainError
 from .fast_transforms import OpCounter
-from .groups import GroupTable, cyclic_group, symmetric_group, wreath_group
+from .groups import (GroupTable, _perm_compose, cyclic_group,
+                     symmetric_group, wreath_group, wreath_mul_key)
 
 SYMMETRIC_CAP = 8
 
@@ -135,50 +142,106 @@ def _yor_generators(shape: tuple[int, ...]) -> tuple:
     return tabs, gens
 
 
-def reduced_word(perm: tuple[int, ...]) -> list[int]:
-    """Adjacent-transposition word (bubble sort): perm = s_{w[-1]} ... s_{w[0]}."""
-    arr = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(arr) - 1):
-            if arr[i] > arr[i + 1]:
-                arr[i], arr[i + 1] = arr[i + 1], arr[i]
-                word.append(i + 1)
-                changed = True
-    return word
-
-
-def yor_matrix(shape: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+def _yor_at(shape: tuple[int, ...], perm: tuple[int, ...]) -> np.ndarray:
+    """YOR matrix of the identity or of one adjacent transposition s_i,
+    read from _yor_generators; no other permutation is asked for."""
     tabs, gens = _yor_generators(shape)
-    d = max(1, len(tabs))
-    m = np.eye(d)
-    for i in reversed(reduced_word(perm)):
-        m = m @ gens[i - 1]
-    return m
+    moved = [x for x, y in enumerate(perm, 1) if x != y]
+    if not moved:
+        return np.eye(max(1, len(tabs)))
+    if len(moved) != 2 or moved[1] != moved[0] + 1:
+        raise ContractError(f"{perm} is not an adjacent transposition")
+    return gens[moved[0] - 1]
 
 
-def symmetric_rep_evaluators(k: int, cap: int = SYMMETRIC_CAP):
-    """[(label, dim, eval(perm) -> matrix)] for each partition of k."""
+# -- representations from generators: the Cayley-graph walk -----------------
+
+@dataclass(frozen=True)
+class CayleyWalk:
+    """A breadth-first walk of a group's Cayley graph from the identity.
+
+    gens: the generator keys.  position: key -> walk position, in walk
+    order (position 0 is the identity).  steps: per (layer, generator),
+    (generator index, child positions, parent positions), each child
+    being its parent times the generator, first met there."""
+    gens: tuple
+    position: dict
+    steps: tuple
+
+
+def _cayley_walk(identity, gens: list, mul) -> CayleyWalk:
+    """Walk the Cayley graph of the group generated by `gens` under the
+    key product `mul`, layer by layer."""
+    position = {identity: 0}
+    keys, steps, layer = [identity], [], [0]
+    while layer:
+        nxt = []
+        for s, gen in enumerate(gens):
+            children, parents = [], []
+            for p in layer:
+                child = mul(keys[p], gen)
+                if child not in position:
+                    position[child] = len(keys)
+                    keys.append(child)
+                    children.append(position[child])
+                    parents.append(p)
+            if children:
+                steps.append((s, np.array(children), np.array(parents)))
+            nxt += children
+        layer = nxt
+    return CayleyWalk(tuple(gens), position, tuple(steps))
+
+
+def _fill(walk: CayleyWalk, rows: list[int], gen_mats: list[np.ndarray],
+          d: int) -> np.ndarray:
+    """The (|G|, d, d) complex tensor of the representation with these
+    generator matrices, row j at the key whose walk position is rows[j]:
+    rho(g s) = rho(g) rho(s), one product per (layer, generator).  Real
+    generators fill the real part alone."""
+    at = np.empty(len(rows), dtype=np.intp)      # walk position -> row
+    at[rows] = np.arange(len(rows))
+    out = np.zeros((len(rows), d, d), dtype=complex)
+    part = out if any(np.iscomplexobj(m) for m in gen_mats) else out.real
+    part[at[0]] = np.eye(d)
+    for s, children, parents in walk.steps:
+        part[at[children]] = part[at[parents]] @ gen_mats[s]
+    return out
+
+
+def _transpositions(k: int) -> list[tuple[int, ...]]:
+    """The adjacent transpositions s_1, ..., s_{k-1} of S_k."""
+    ident = tuple(range(1, k + 1))
+    return [ident[:i - 1] + (i + 1, i) + ident[i + 1:] for i in range(1, k)]
+
+
+@lru_cache(maxsize=None)
+def _symmetric_walk(k: int) -> CayleyWalk:
+    """S_k's walk over the adjacent transpositions."""
+    return _cayley_walk(tuple(range(1, k + 1)), _transpositions(k),
+                        _perm_compose)
+
+
+def _symmetric_reps(k: int, keys: list[tuple[int, ...]],
+                    cap: int) -> list[Irrep]:
+    """Young's orthogonal representations of S_k at the permutations
+    `keys`, filled from the adjacent transpositions."""
     if k > cap:
         raise CapabilityError(f"symmetric representations capped at k <= {cap}")
-    out = []
+    walk = _symmetric_walk(k)
+    rows = [walk.position[key] for key in keys]
+    reps = []
     for shape in partitions(k):
-        out.append((str(shape), hook_length_dim(shape),
-                    lambda perm, s=shape: yor_matrix(s, perm)))
-    return out
+        d = hook_length_dim(shape)
+        reps.append(Irrep(str(shape), d,
+                          _fill(walk, rows, _yor_generators(shape)[1], d)))
+    return reps
 
 
 def irreps_symmetric(k: int, cap: int = SYMMETRIC_CAP) -> GroupRepSet:
     if k > cap:
         raise CapabilityError(f"symmetric representations capped at k <= {cap}")
     group = symmetric_group(k)
-    reps = []
-    for label, dim, ev in symmetric_rep_evaluators(k, cap):
-        mats = np.stack([ev(p) for p in group.keys]).astype(complex)
-        reps.append(Irrep(label, dim, mats))
-    return GroupRepSet(group, reps)
+    return GroupRepSet(group, _symmetric_reps(k, group.keys, cap))
 
 
 # -- cyclic groups ---------------------------------------------------------
@@ -246,18 +309,17 @@ def abelian_characters(group: GroupTable) -> list[np.ndarray]:
 # -- wreath products of an abelian group by S_k ----------------------------
 
 def _young_transversal(k: int, sizes: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Sorted minimal coset representatives of S_k over the Young subgroup."""
-    blocks = []
-    start = 1
-    for sz in sizes:
-        blocks.append(tuple(range(start, start + sz)))
-        start += sz
-    cosets: dict[tuple, tuple[int, ...]] = {}
-    for perm in itertools.permutations(range(1, k + 1)):
-        key = tuple(frozenset(perm[x - 1] for x in blk) for blk in blocks)
-        if key not in cosets or perm < cosets[key]:
-            cosets[key] = perm
-    return sorted(cosets.values())
+    """Sorted minimal coset representatives of S_k over the Young subgroup:
+    the permutations increasing on each block of positions."""
+    def increasing(values, sizes):
+        if not sizes:
+            yield ()
+            return
+        for head in itertools.combinations(values, sizes[0]):
+            rest = [v for v in values if v not in head]
+            for tail in increasing(rest, sizes[1:]):
+                yield head + tail
+    return sorted(increasing(range(1, k + 1), sizes))
 
 
 def wreath_rep_evaluators(labels: GroupTable, k: int, cap: int = SYMMETRIC_CAP):
@@ -265,6 +327,11 @@ def wreath_rep_evaluators(labels: GroupTable, k: int, cap: int = SYMMETRIC_CAP):
 
     One representation per |G|-tuple of partitions with total size k, built
     by inducing character-twisted Young products from the block stabilizer.
+    Each evaluator takes only generator keys (an adjacent transposition
+    with identity labels, or the identity permutation with labels): there
+    every block-local permutation t_a^-1 u t_b is the identity or one
+    adjacent transposition (Deodhar's lemma for minimal coset
+    representatives), so the YOR blocks are read from _yor_generators.
     """
     if k > cap:
         raise CapabilityError(f"wreath representations capped at k <= {cap}")
@@ -302,7 +369,7 @@ def wreath_rep_evaluators(labels: GroupTable, k: int, cap: int = SYMMETRIC_CAP):
                 mat = np.eye(1, dtype=complex)
                 for bi, blk in enumerate(blocks):
                     local = tuple(blk.index(perm[x - 1]) + 1 for x in blk)
-                    mat = np.kron(mat, yor_matrix(shapes[bi], local))
+                    mat = np.kron(mat, _yor_at(shapes[bi], local))
                 return scale * mat
 
             def ev(key, base_rep=base_rep, blocks=blocks, m=m,
@@ -330,6 +397,31 @@ def wreath_rep_evaluators(labels: GroupTable, k: int, cap: int = SYMMETRIC_CAP):
     return evaluators
 
 
+@lru_cache(maxsize=None)
+def _wreath_walk(k: int, table: tuple[tuple[int, ...], ...],
+                 e: int) -> CayleyWalk:
+    """The walk of G wr S_k, G given by its product table and identity e,
+    over the adjacent transpositions and each label g != e at point 1."""
+    ident, plain = tuple(range(1, k + 1)), (e,) * k
+    gens = [(perm, plain) for perm in _transpositions(k)]
+    gens += [(ident, (g,) + plain[1:]) for g in range(len(table)) if k and g != e]
+    return _cayley_walk((ident, plain), gens,
+                        wreath_mul_key(lambda a, b: table[a][b]))
+
+
+def _wreath_reps(labels: GroupTable, k: int, keys: list,
+                 cap: int) -> list[Irrep]:
+    """The induced representations of labels wr S_k at the (perm, labels)
+    `keys`, filled from their values at the generators."""
+    evaluators = wreath_rep_evaluators(labels, k, cap)
+    h = range(len(labels))
+    table = tuple(tuple(labels.mul(a, b) for b in h) for a in h)
+    walk = _wreath_walk(k, table, labels.identity)
+    rows = [walk.position[key] for key in keys]
+    return [Irrep(label, dim, _fill(walk, rows, [ev(g) for g in walk.gens], dim))
+            for label, dim, ev in evaluators]
+
+
 def irreps_wreath_abelian(labels: GroupTable, k: int,
                           cap: int = SYMMETRIC_CAP) -> GroupRepSet:
     if k > cap:
@@ -337,11 +429,7 @@ def irreps_wreath_abelian(labels: GroupTable, k: int,
     if not labels.is_abelian():
         raise CapabilityError("wreath construction requires an abelian group")
     group = wreath_group(labels, k)
-    reps = []
-    for label, dim, ev in wreath_rep_evaluators(labels, k, cap):
-        mats = np.stack([ev(key) for key in group.keys])
-        reps.append(Irrep(label, dim, mats))
-    return GroupRepSet(group, reps)
+    return GroupRepSet(group, _wreath_reps(labels, k, group.keys, cap))
 
 
 # -- alignment with maximal subgroups of a semigroup -----------------------
@@ -370,21 +458,14 @@ def repset_for_subgroup(structure, dclass, cap: int = SYMMETRIC_CAP) -> GroupRep
             perm = tuple(pos[img[p][0]] for p in base)
             labs = tuple(img[p][1] for p in base)
             keys.append((perm, labs))
-        k = len(base)
         if family == "rook":
-            reps = []
-            for label, dim, ev in symmetric_rep_evaluators(k, cap):
-                mats = np.stack([ev(perm) for perm, _ in keys]).astype(complex)
-                reps.append(Irrep(label, dim, mats))
-            return GroupRepSet(gt, reps)
+            return GroupRepSet(gt, _symmetric_reps(
+                len(base), [perm for perm, _ in keys], cap))
         if not structure.label_group.is_abelian():
             raise CapabilityError(
                 "built-in wreath representations require an abelian label group")
-        reps = []
-        for label, dim, ev in wreath_rep_evaluators(structure.label_group, k, cap):
-            mats = np.stack([ev(key) for key in keys])
-            reps.append(Irrep(label, dim, mats))
-        return GroupRepSet(gt, reps)
+        return GroupRepSet(gt, _wreath_reps(structure.label_group, len(base),
+                                            keys, cap))
     # cyclic_shift, rotation, and any other cyclic case
     return cyclic_repset_for(gt)
 

@@ -123,13 +123,14 @@ def symmetric_group(k: int, cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
     return GroupTable(keys, _perm_compose, name=f"S{k}")
 
 
-def wreath_mul_key(labels: GroupTable):
-    """Product on (perm, label-tuple) keys of a wreath product by `labels`."""
+def wreath_mul_key(label_mul: Callable[[int, int], int]):
+    """Product on (perm, label-tuple) keys of a wreath product by the
+    label group with product `label_mul`."""
     def mul(a, b):
         pa, ga = a
         pb, gb = b
         perm = _perm_compose(pa, pb)
-        lab = tuple(labels.mul(ga[pb[x - 1] - 1], gb[x - 1])
+        lab = tuple(label_mul(ga[pb[x - 1] - 1], gb[x - 1])
                     for x in range(1, len(pa) + 1))
         return (perm, lab)
     return mul
@@ -146,7 +147,7 @@ def wreath_group(labels: GroupTable, k: int,
     keys = sorted((p, g)
                   for p in itertools.permutations(range(1, k + 1))
                   for g in itertools.product(range(len(labels)), repeat=k))
-    return GroupTable(keys, wreath_mul_key(labels), name=f"{labels.name}wrS{k}")
+    return GroupTable(keys, wreath_mul_key(labels.mul), name=f"{labels.name}wrS{k}")
 
 
 BUILTIN_LABEL_GROUPS = ("Z1", "Z2", "Z3", "Z4", "S3")

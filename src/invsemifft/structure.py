@@ -8,8 +8,12 @@ the steps of the extension sweep.  Every part is read off the elements,
 so any inverse semigroup of partial maps is analysed the same way: the
 connector of idempotent e is the first element, in S's order, from the
 class representative onto e, and the sweep steps along the closures of
-idempotent domains (see _sweep_steps).  This module also hosts the
-quadratic zeta/Mobius reference transforms used as oracles everywhere.
+idempotent domains (see _sweep_steps).  The analysis works on one image
+table built once from the pairs, images[s, x] = s(x) with its labels:
+idempotents, dom / ran ids and the groupoid coordinates are array
+gathers and row lookups on it, and only the maximal subgroup tables
+compose elements.  This module also hosts the quadratic zeta/Mobius
+reference transforms used as oracles everywhere.
 """
 from __future__ import annotations
 
@@ -20,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .elements import PartialMapElement, compose, inverse_of, natural_leq
+from .elements import (PartialMapElement, compose, encode, inverse_of,
+                       natural_leq)
 from .errors import ContractError, DomainError, StructureError
 from .groups import GroupTable
 
@@ -96,12 +101,42 @@ class SemigroupStructure:
     # -- structural analysis -----------------------------------------------
 
     def _analyze(self) -> None:
-        n_el = len(self.elements)
+        n_el, n = len(self.elements), self.n
+        # images[s, x] = s(x) and labels[s, x] its label, both 0 where s(x)
+        # is undefined; column 0 is all 0, so gathers through 0 stay 0.
+        # Entries take the least unsigned type that holds n and every label.
+        ranks = [e.rank for e in self.elements]
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.chain.from_iterable(e.pairs for e in self.elements)),
+            dtype=np.int32, count=3 * sum(ranks)).reshape(-1, 3)
+        h = 1 if self.label_group is None else len(self.label_group)
+        if not ((flat[:, 2] >= 0) & (flat[:, 2] < h)).all():
+            raise StructureError("labels present but no label group supplied"
+                                 if self.label_group is None else
+                                 "a label lies outside the label group")
+        rows = np.repeat(np.arange(n_el), ranks)
+        entry = np.min_scalar_type(max(n, h))
+        self.images = np.zeros((n_el, n + 1), dtype=entry)
+        self.labels = np.zeros((n_el, n + 1), dtype=entry)
+        self.images[rows, flat[:, 0]] = flat[:, 1]
+        self.labels[rows, flat[:, 0]] = flat[:, 2]
         # s s = s for an injective labeled map iff s fixes its domain with
         # idempotent, hence identity, labels: a partial identity.
-        self.idempotents = [i for i, el in enumerate(self.elements)
-                            if el.is_partial_identity()]
-        self.dom_id, self.ran_id = self._dom_ran_ids()
+        defined = self.images > 0
+        fixed = self.images == np.arange(n + 1, dtype=entry) * defined
+        idems = np.flatnonzero(fixed.all(1) & ~self.labels.any(1))
+        self.idempotents = idems.tolist()
+        # dom_id[i] = i^-1 i and ran_id[i] = i i^-1: the idempotents whose
+        # point sets are i's domain and range.
+        ran = np.zeros_like(defined)
+        ran[rows, flat[:, 1]] = True
+        found = _find_rows(np.packbits(defined[idems], axis=1),
+                           np.packbits(np.concatenate([defined, ran]), axis=1))
+        if (found < 0).any():
+            el = self.elements[np.flatnonzero(found < 0)[0] % n_el]
+            raise StructureError(f"no idempotent on the domain or range of {el!r}")
+        dom_id, ran_id = idems[found[:n_el]], idems[found[n_el:]]
+        self.dom_id, self.ran_id = dom_id.tolist(), ran_id.tolist()
 
         # D-classes: idempotents e, f are D-related iff some s has dom(s)=e,
         # ran(s)=f; every s links its own dom and ran idempotents.
@@ -113,8 +148,13 @@ class SemigroupStructure:
                 x = parent[x]
             return x
 
-        for i in range(n_el):
-            a, b = find(self.dom_id[i]), find(self.ran_id[i])
+        # The connector p_e of idempotent e is the first element of S from
+        # the class representative e_k onto e; p_{e_k} = e_k, the identity
+        # on dom(e_k) being the least map from dom(e_k) onto itself.
+        codes, first = np.unique(dom_id * n_el + ran_id, return_index=True)
+        first_from_to = dict(zip(codes.tolist(), first.tolist()))
+        for code in codes.tolist():
+            a, b = find(code // n_el), find(code % n_el)
             if a != b:
                 parent[max(a, b)] = min(a, b)
 
@@ -122,67 +162,71 @@ class SemigroupStructure:
         for e in self.idempotents:
             groups.setdefault(find(e), []).append(e)
         roots = sorted(groups, key=lambda r: min(groups[r]))
-        class_of_root = {r: k for k, r in enumerate(roots)}
-
-        members: list[list[int]] = [[] for _ in roots]
-        for i in range(n_el):
-            members[class_of_root[find(self.ran_id[i])]].append(i)
-
-        # The connector p_e of idempotent e is the first element of S from
-        # the class representative e_k onto e; p_{e_k} = e_k, the identity
-        # on dom(e_k) being the least map from dom(e_k) onto itself.
-        first_from_to: dict[tuple[int, int], int] = {}
-        for i in range(n_el):
-            first_from_to.setdefault((self.dom_id[i], self.ran_id[i]), i)
-
-        self.d_classes: list[DClassStructure] = []
+        classes = []
+        class_of_idem = np.zeros(n_el, dtype=np.intp)
+        pos_of_idem = np.zeros(n_el, dtype=np.intp)
+        connector = np.zeros(n_el, dtype=np.intp)
         for k, root in enumerate(roots):
-            idems = sorted(groups[root])
-            e_k = idems[0]
-            connectors = {e: first_from_to.get((e_k, e)) for e in idems}
+            idems_k = sorted(groups[root])
+            e_k = idems_k[0]
+            connectors = {e: first_from_to.get(e_k * n_el + e) for e in idems_k}
             if None in connectors.values():
                 raise StructureError(f"no element maps idempotent {e_k} onto "
                                      f"every idempotent of its D-class")
-            sub_ids = [i for i in members[k]
-                       if self.dom_id[i] == e_k and self.ran_id[i] == e_k]
-            subgroup = GroupTable(sorted(sub_ids), self.mul,
-                                  name=f"G[{self.family},{k}]")
-            dc = DClassStructure(k, members[k], idems, e_k, connectors, subgroup)
-            dc.idem_pos = {e: p for p, e in enumerate(idems)}
-            dc.local_of = {g: p for p, g in enumerate(subgroup.keys)}
-            dc.coord_ids = np.zeros((len(idems), len(idems), len(subgroup)),
-                                    dtype=np.intp)
-            self.d_classes.append(dc)
+            classes.append((idems_k, connectors))
+            class_of_idem[idems_k] = k
+            pos_of_idem[idems_k] = range(len(idems_k))
+            connector[idems_k] = list(connectors.values())
 
         # Groupoid coordinates: s in D_k corresponds to the subgroup element
-        # y = p_ran(s)^-1 s p_dom(s) at grid position (ran(s), dom(s)).
-        self.class_of = [0] * n_el
-        self.element_coords: list[tuple[int, int, int, int]] = [None] * n_el
-        for dc in self.d_classes:
-            p_inv = {e: self.id_of(inverse_of(self.elements[p], self.label_group))
-                     for e, p in dc.connectors.items()}
-            for i in dc.element_ids:
-                a, b = self.ran_id[i], self.dom_id[i]
-                y = self.mul(self.mul(p_inv[a], i), dc.connectors[b])
-                self.class_of[i] = dc.index
-                coords = (dc.idem_pos[a], dc.idem_pos[b], dc.local_of[y])
-                self.element_coords[i] = (dc.index, *coords)
-                dc.coord_ids[coords] = i
+        # y = p_ran(s)^-1 s p_dom(s) at grid position (ran(s), dom(s)),
+        # found among the elements by its image and label rows.
+        inv_img = np.zeros_like(self.images)          # rows of s^-1
+        inv_img[rows, flat[:, 1]] = flat[:, 0]
+        p_dom, p_ran = connector[dom_id], connector[ran_id]
+        p_img = self.images[p_dom]
+        mid = np.take_along_axis(self.images, p_img, 1)        # s(p_dom(x))
+        y_img = np.take_along_axis(inv_img[p_ran], mid, 1)
+        y_lab = np.zeros_like(y_img)
+        if self.label_group is not None:
+            lg = self.label_group
+            table = np.array([[lg.mul(a, b) for b in range(h)]
+                              for a in range(h)], dtype=entry)
+            inv_lab = np.zeros_like(self.labels)      # labels of s^-1
+            inv_lab[rows, flat[:, 1]] = np.asarray(lg.inverse)[flat[:, 2]]
+            y_lab = table[table[np.take_along_axis(inv_lab[p_ran], mid, 1),
+                                np.take_along_axis(self.labels, p_img, 1)],
+                          self.labels[p_dom]] * (y_img > 0)
+        y_id = _find_rows(np.concatenate([self.images, self.labels], 1),
+                          np.concatenate([y_img, y_lab], 1))
+        if (y_id < 0).any():
+            raise StructureError("the elements are not closed under products")
 
-    def _dom_ran_ids(self) -> tuple[list[int], list[int]]:
-        """dom_id[i] = i^-1 i and ran_id[i] = i i^-1: the idempotents whose
-        point sets are i's domain and range, looked up from the pairs."""
-        by_points = {tuple(i for i, _, _ in self.elements[e].pairs): e
-                     for e in self.idempotents}
-        dom_id, ran_id = [], []
-        try:
-            for el in self.elements:
-                dom_id.append(by_points[tuple(i for i, _, _ in el.pairs)])
-                ran_id.append(by_points[tuple(sorted(j for _, j, _ in el.pairs))])
-        except KeyError as exc:
-            raise StructureError(f"no idempotent on the points {exc.args[0]} "
-                                 f"of {el!r}") from None
-        return dom_id, ran_id
+        class_of = class_of_idem[ran_id]
+        members = np.split(np.argsort(class_of, kind="stable"),
+                           np.cumsum(np.bincount(class_of,
+                                                 minlength=len(roots)))[:-1])
+        a_pos, b_pos = pos_of_idem[ran_id], pos_of_idem[dom_id]
+        local = np.zeros(n_el, dtype=np.intp)
+        self.d_classes: list[DClassStructure] = []
+        for k, ((idems_k, connectors), ids) in enumerate(zip(classes, members)):
+            e_k = idems_k[0]
+            sub_ids = ids[(dom_id[ids] == e_k) & (ran_id[ids] == e_k)]
+            local[sub_ids] = range(len(sub_ids))
+            subgroup = GroupTable(sub_ids.tolist(), self.mul,
+                                  name=f"G[{self.family},{k}]")
+            dc = DClassStructure(k, ids.tolist(), idems_k, e_k, connectors,
+                                 subgroup)
+            dc.idem_pos = {e: p for p, e in enumerate(idems_k)}
+            dc.local_of = {g: p for p, g in enumerate(subgroup.keys)}
+            dc.coord_ids = np.zeros((len(idems_k), len(idems_k), len(subgroup)),
+                                    dtype=np.intp)
+            dc.coord_ids[a_pos[ids], b_pos[ids], local[y_id[ids]]] = ids
+            self.d_classes.append(dc)
+        self.class_of = class_of.tolist()
+        self.element_coords: list[tuple[int, int, int, int]] = list(zip(
+            self.class_of, a_pos.tolist(), b_pos.tolist(),
+            local[y_id].tolist()))
 
     def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The extension sweep's steps: step i holds every s < t in S with
@@ -219,7 +263,12 @@ class SemigroupStructure:
             restrict = (itemgetter(*at) if len(at) > 1
                         else lambda p, at=at: tuple(p[k] for k in at))
             on_f = targets_on[self.idempotents[row]]
-            sources[i].extend([id_of_pairs[restrict(pairs[t])] for t in on_f])
+            try:
+                sources[i].extend([id_of_pairs[restrict(pairs[t])] for t in on_f])
+            except KeyError as exc:
+                missing = encode(PartialMapElement(self.n, exc.args[0]))
+                raise StructureError(f"the elements are not closed under "
+                                     f"restriction: {missing} is missing") from None
             targets[i].extend(on_f)
         out = []
         for s, t in zip(sources, targets):
@@ -274,7 +323,6 @@ class SemigroupStructure:
         return val
 
     def encode_id(self, i: int) -> str:
-        from .elements import encode
         return encode(self.elements[i])
 
 
@@ -291,11 +339,15 @@ def _closure_steps(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if n == 0:
         return none, none, none          # the empty domain alone
     size = dom.sum(1)
-    counts = dom.astype(float)           # exact: shared counts are <= n
+    # d is inside f iff d & ~f is 0 in every little-endian 64-bit word
+    padded = np.zeros((n_rows, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = dom
+    words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    outside = ~words
     chunk = max(1, (1 << 20) // max(1, n_rows * n))  # ~1M cells at a time
     out = [(none, none, none)]
     for lo in range(0, n_rows, chunk):
-        inside = counts[lo:lo + chunk] @ counts.T == size[lo:lo + chunk, None]
+        inside = ~(words[lo:lo + chunk, None] & outside).any(2)
         d, f = np.nonzero(inside & (size[lo:lo + chunk, None] < size))
         d += lo
         first = (dom[f] & ~dom[d]).argmax(1)
@@ -309,6 +361,17 @@ def _closure_steps(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                                  "under intersection")
         out.append((d[head], f[head], first[head]))
     return tuple(np.concatenate(a) for a in zip(*out))
+
+
+def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row of `rows`, the index of the equal row of `table`,
+    whose rows are distinct, or -1 where there is none."""
+    both = np.ascontiguousarray(np.concatenate([table, rows]))
+    cls = np.unique(both.view(np.dtype((np.void, both.itemsize * both.shape[1]))),
+                    return_inverse=True)[1].ravel()
+    at = np.full(len(table) + len(rows), -1)
+    at[cls[:len(table)]] = np.arange(len(table))
+    return at[cls[len(table):]]
 
 
 # -- functions on S and the quadratic reference transforms -----------------

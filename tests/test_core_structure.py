@@ -3,13 +3,15 @@ natural order, Mobius values, and the groupoid product law."""
 import numpy as np
 import pytest
 
+from invsemifft import structure
 from invsemifft.elements import (PartialMapElement, compose, empty_map,
                                  inverse_of, partial_identity)
 from invsemifft.errors import ContractError, DomainError, StructureError
+from invsemifft.groups import GroupTable
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
                                   SemigroupStructure, mobius_naive, zeta_naive)
 
-from conftest import make_structure, random_function
+from conftest import generated_semigroups, make_structure, random_function
 
 CORPUS = [("rook", 3, None), ("planar_rook", 3, None),
           ("cyclic_shift", 3, None), ("rotation", 4, None),
@@ -101,6 +103,77 @@ def test_domain_without_idempotent_rejected():
     with pytest.raises(StructureError, match="no idempotent"):
         SemigroupStructure("custom", 2,
                            [empty_map(2), PartialMapElement(2, ((1, 2, 0),))])
+
+
+def coordinates_by_products(S):
+    """dom_id, ran_id and element_coords computed with compose: s^-1 s,
+    s s^-1 and y = p_ran^-1 s p_dom, looked up by id."""
+    lg = S.label_group
+    els = S.elements
+    dom_id = [S.id_of(compose(inverse_of(el, lg), el, lg)) for el in els]
+    ran_id = [S.id_of(compose(el, inverse_of(el, lg), lg)) for el in els]
+    coords = []
+    for i, el in enumerate(els):
+        dc = next(dc for dc in S.d_classes if ran_id[i] in dc.idem_pos)
+        p_ran = els[dc.connectors[ran_id[i]]]
+        p_dom = els[dc.connectors[dom_id[i]]]
+        y = compose(compose(inverse_of(p_ran, lg), el, lg), p_dom, lg)
+        coords.append((dc.index, dc.idem_pos[ran_id[i]], dc.idem_pos[dom_id[i]],
+                       dc.local_of[S.id_of(y)]))
+    return dom_id, ran_id, coords
+
+
+def test_coordinates_equal_products():
+    """dom_id, ran_id and the groupoid coordinates, read from the image
+    table, equal their compose-based definitions on every CORPUS family
+    and on the seeded generated semigroups."""
+    cases = [make_structure(*case) for case in CORPUS]
+    cases += [SemigroupStructure("custom", n, elements)
+              for n, elements in generated_semigroups()]
+    for S in cases:
+        assert (S.dom_id, S.ran_id, S.element_coords) == coordinates_by_products(S)
+
+
+@pytest.mark.parametrize("family,n,label", [("rook", 5, None),
+                                            ("wreath_rook", 3, 2)])
+def test_no_compose_outside_the_subgroup_tables(family, n, label, monkeypatch):
+    """The structure analysis composes elements only inside the maximal
+    subgroup tables: everything else is read from the image table."""
+    depth, outside = [0], []
+
+    class CountingTable(GroupTable):
+        def mul(self, i, j):
+            depth[0] += 1
+            try:
+                return super().mul(i, j)
+            finally:
+                depth[0] -= 1
+
+    def counted(f):
+        def wrapper(*args):
+            if not depth[0]:
+                outside.append(f.__name__)
+            return f(*args)
+        return wrapper
+
+    S = make_structure(family, n, label)
+    monkeypatch.setattr(structure, "GroupTable", CountingTable)
+    monkeypatch.setattr(structure, "compose", counted(compose))
+    monkeypatch.setattr(structure, "inverse_of", counted(inverse_of))
+    fresh = SemigroupStructure(family, n, S.elements, S.label_group)
+    assert outside == []
+    assert all(isinstance(dc.subgroup, CountingTable) for dc in fresh.d_classes)
+    assert fresh.element_coords == S.element_coords
+
+
+def test_missing_restriction_rejected():
+    """The swap on {1, 2} without its restriction to {1}: the sweep's
+    step build names the missing map."""
+    elements = [empty_map(2), partial_identity(2, [1]),
+                partial_identity(2, [1, 2]),
+                PartialMapElement(2, ((1, 2, 0), (2, 1, 0)))]
+    with pytest.raises(StructureError, match="restriction: 1>2 is missing"):
+        SemigroupStructure("custom", 2, elements)
 
 
 @pytest.mark.parametrize("family,n,label", CORPUS)

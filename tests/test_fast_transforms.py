@@ -5,15 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
-from invsemifft.elements import (PartialMapElement, compose, inverse_of,
-                                 partial_identity)
+from invsemifft.elements import PartialMapElement, partial_identity
 from invsemifft.errors import CapabilityError, ContractError, StructureError
 from invsemifft.fast_transforms import OpCounter, fast_mobius, fast_zeta
 from invsemifft.semigroup_fourier import fft, ifft, induce, naive_ft
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
-                                  SemigroupStructure, mobius_naive, zeta_naive)
+                                  SemigroupStructure, _closure_steps,
+                                  mobius_naive, zeta_naive)
 
-from conftest import make_structure, random_function
+from conftest import (generated, generated_semigroups, make_structure,
+                      random_function)
 
 CORPUS = [("rook", 4, None), ("planar_rook", 6, None),
           ("cyclic_shift", 5, None), ("rotation", 7, None),
@@ -114,27 +115,6 @@ def test_idempotents_not_closed_under_intersection_rejected():
         semilattice(3, [(), (1, 2), (1, 3)])
 
 
-def generated(gens, cap=400):
-    """The inverse semigroup generated by `gens`, or None past `cap`
-    elements."""
-    gens = gens + [inverse_of(g) for g in gens]
-    seen, frontier = set(gens), list(gens)
-    while frontier and len(seen) <= cap:
-        new = {c for a in frontier for g in gens
-               for c in (compose(a, g), compose(g, a))} - seen
-        seen |= new
-        frontier = list(new)
-    return None if len(seen) > cap else sorted(seen)
-
-
-def random_map(rng, n):
-    r = int(rng.integers(1, n + 1))
-    dom, img = (rng.choice(np.arange(1, n + 1), r, replace=False)
-                for _ in range(2))
-    return PartialMapElement(n, tuple((int(i), int(j), 0)
-                                      for i, j in zip(dom, img)))
-
-
 def check_transforms(S):
     """fast zeta/Mobius equal the oracles; where the built-in subgroup
     representations apply, fft equals naive_ft and ifft inverts it.
@@ -166,17 +146,8 @@ def test_semigroup_without_order_preserving_connectors():
 def test_random_generated_semigroups():
     """Inverse semigroups closed from 1-3 random partial maps on n = 3-5
     points: every one builds, and the transforms are exact on each."""
-    rng = np.random.default_rng(2024)
-    cases = 0
-    full = 0
-    while cases < 60:
-        n = int(rng.integers(3, 6))
-        elements = generated([random_map(rng, n)
-                              for _ in range(int(rng.integers(1, 4)))])
-        if elements is None:
-            continue
-        cases += 1
-        full += check_transforms(SemigroupStructure("custom", n, elements))
+    full = sum(check_transforms(SemigroupStructure("custom", n, elements))
+               for n, elements in generated_semigroups())
     assert full >= 56              # every case with cyclic maximal subgroups
 
 
@@ -266,6 +237,59 @@ def test_vectorized_steps_equal_the_loop(family, n, label):
     assert np.array_equal(fast_zeta(f).values, z)
     g = FunctionOnS(S, GROUPOID, f.values)
     assert np.array_equal(fast_mobius(g).values, m)
+
+
+def closure_steps_by_float_product(dom):
+    """_closure_steps with the subset test as a float product of the 0/1
+    domain rows: d is inside f iff they share |d| points."""
+    n_rows, n = dom.shape
+    none = np.zeros(0, dtype=np.intp)
+    if n == 0:
+        return none, none, none
+    size = dom.sum(1)
+    counts = dom.astype(float)
+    chunk = max(1, (1 << 20) // max(1, n_rows * n))
+    out = [(none, none, none)]
+    for lo in range(0, n_rows, chunk):
+        inside = counts[lo:lo + chunk] @ counts.T == size[lo:lo + chunk, None]
+        d, f = np.nonzero(inside & (size[lo:lo + chunk, None] < size))
+        d += lo
+        first = (dom[f] & ~dom[d]).argmax(1)
+        order = np.lexsort((size[f], first, d))
+        d, f, first = d[order], f[order], first[order]
+        head = np.ones(len(d), dtype=bool)
+        head[1:] = (d[1:] != d[:-1]) | (first[1:] != first[:-1])
+        out.append((d[head], f[head], first[head]))
+    return tuple(np.concatenate(a) for a in zip(*out))
+
+
+@pytest.mark.parametrize("family,n,label",
+                         CORPUS + [("rotation", 8, None), ("chain", 70, None)])
+def test_closure_steps_equal_the_float_product(family, n, label):
+    """The word-packed subset test gives the float product's steps; chain
+    70 has n > 64, so each domain spans two words."""
+    S = make_structure(family, n, label)
+    dom = np.zeros((len(S.idempotents), S.n), dtype=bool)
+    for r, e in enumerate(S.idempotents):
+        dom[r, [i - 1 for i in S.elements[e].domain]] = True
+    for got, ref in zip(_closure_steps(dom), closure_steps_by_float_product(dom),
+                        strict=True):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_closure_steps_read_every_word():
+    """Domains on 130 points, three words each, that differ only past the
+    first word: {65} is not inside {1, 66}, nor {130} inside {1, 65, 66}."""
+    domains = [(), (65,), (1, 66), (1, 65, 66), (130,), (65, 130)]
+    dom = np.zeros((len(domains), 130), dtype=bool)
+    for r, d in enumerate(domains):
+        dom[r, [i - 1 for i in d]] = True
+    got = _closure_steps(dom)
+    for a, b in zip(got, closure_steps_by_float_product(dom), strict=True):
+        assert np.array_equal(a, b)
+    assert sorted(zip(*(x.tolist() for x in got))) == [
+        (0, 1, 64), (0, 2, 0), (0, 4, 129), (1, 3, 0), (1, 5, 129), (2, 3, 64),
+        (4, 5, 64)]
 
 
 def test_basis_contracts():

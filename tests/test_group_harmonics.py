@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from invsemifft import group_harmonics
 from invsemifft.errors import CapabilityError, ContractError
 from invsemifft.fast_transforms import OpCounter
-from invsemifft.group_harmonics import (GroupSpectrum, abelian_characters,
-                                        cyclic_ft_fast, cyclic_ift_fast,
-                                        cyclic_repset_for, group_ft, group_ift,
-                                        hook_length_dim, irreps_cyclic,
-                                        irreps_symmetric, irreps_wreath_abelian,
-                                        partitions, standard_tableaux,
-                                        validate_repset, yor_matrix)
+from invsemifft.group_harmonics import (GroupSpectrum, _yor_generators,
+                                        abelian_characters, cyclic_ft_fast,
+                                        cyclic_ift_fast, cyclic_repset_for,
+                                        group_ft, group_ift, hook_length_dim,
+                                        irreps_cyclic, irreps_symmetric,
+                                        irreps_wreath_abelian, partitions,
+                                        standard_tableaux, validate_repset)
 from invsemifft.groups import GroupTable, cyclic_group, symmetric_group
+from invsemifft.semigroup_fourier import induce
+
+from conftest import make_structure
 
 
 def test_partitions_and_tableaux():
@@ -75,10 +79,71 @@ def test_symmetric_orthogonal_form():
     for k in (3, 4, 5):
         for shape in partitions(k):
             for i in range(1, k):
-                perm = list(range(1, k + 1))
-                perm[i - 1], perm[i] = perm[i], perm[i - 1]
-                m = yor_matrix(shape, tuple(perm))
+                m = _yor_generators(shape)[1][i - 1]
                 assert np.abs(m @ m.T - np.eye(len(m))).max() < 1e-12
+
+
+def reduced_word_yor(shape, perm):
+    """Young's orthogonal form at `perm` as a product of generator
+    matrices along a bubble-sort reduced word."""
+    tabs, gens = _yor_generators(shape)
+    arr, word = list(perm), []
+    for _ in arr:
+        for i in range(len(arr) - 1):
+            if arr[i] > arr[i + 1]:
+                arr[i], arr[i + 1] = arr[i + 1], arr[i]
+                word.append(i + 1)
+    m = np.eye(max(1, len(tabs)))
+    for i in reversed(word):
+        m = m @ gens[i - 1]
+    return m
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_symmetric_tensors_equal_reduced_words(k):
+    """The Cayley-walk tensors equal the reduced-word products."""
+    rs = irreps_symmetric(k)
+    for rep, shape in zip(rs.reps, partitions(k), strict=True):
+        assert rep.label == str(shape) and rep.matrices.dtype == complex
+        ref = np.stack([reduced_word_yor(shape, p) for p in rs.group.keys])
+        assert np.abs(rep.matrices - ref).max() <= 1e-12
+    validate_repset(rs)
+
+
+@pytest.mark.parametrize("h,k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2),
+                                 (3, 3), (4, 2)])
+def test_wreath_tensors_equal_the_evaluator(h, k, monkeypatch):
+    """The Cayley-walk tensors equal the wreath evaluators run at every
+    element, with Young's form at any permutation from reduced words."""
+    labels = cyclic_group(h)
+    rs = irreps_wreath_abelian(labels, k)
+    monkeypatch.setattr(group_harmonics, "_yor_at", reduced_word_yor)
+    evaluators = group_harmonics.wreath_rep_evaluators(labels, k)
+    for rep, (label, dim, ev) in zip(rs.reps, evaluators, strict=True):
+        assert (rep.label, rep.dim) == (label, dim)
+        ref = np.stack([ev(key) for key in rs.group.keys])
+        assert np.abs(rep.matrices - ref).max() <= 1e-12
+    validate_repset(rs)
+
+
+def test_wreath_evaluators_see_only_generators(monkeypatch):
+    """induce on wreath_rook 3/Z2 evaluates each wreath representation at
+    the generators alone: the adjacent transpositions and the label 1 at
+    point 1."""
+    seen = []
+    built = group_harmonics.wreath_rep_evaluators
+
+    def recording(labels, k, cap=group_harmonics.SYMMETRIC_CAP):
+        def wrap(ev):
+            return lambda key: seen.append((k, key)) or ev(key)
+        return [(label, dim, wrap(ev)) for label, dim, ev in built(labels, k, cap)]
+
+    monkeypatch.setattr(group_harmonics, "wreath_rep_evaluators", recording)
+    induce(make_structure("wreath_rook", 3, 2))
+    assert set(seen) == {(1, ((1,), (1,))),
+                         (2, ((2, 1), (0, 0))), (2, ((1, 2), (1, 0))),
+                         (3, ((2, 1, 3), (0, 0, 0))), (3, ((1, 3, 2), (0, 0, 0))),
+                         (3, ((1, 2, 3), (1, 0, 0)))}
 
 
 def test_symmetric_cap():

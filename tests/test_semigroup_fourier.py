@@ -148,7 +148,8 @@ def test_fft_delta_empty_map(family, n, label):
         assert np.abs(vec).sum() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("family,n,label", CORPUS)
+@pytest.mark.parametrize("family,n,label", CORPUS + [
+    ("rook", 4, None), ("wreath_rook", 2, 3), ("wreath_rook", 3, 2)])
 def test_fft_matches_naive(family, n, label):
     S = make_structure(family, n, label)
     Y = induce(S)
