@@ -446,26 +446,17 @@ def repset_for_subgroup(structure, dclass, cap: int = SYMMETRIC_CAP) -> GroupRep
     gt = dclass.subgroup
     if len(gt) == 1:
         return trivial_repset(gt)
-    family = structure.family
-    if family in ("rook", "wreath_rook"):
-        e_k = structure.elements[dclass.rep_idempotent]
-        base = sorted(e_k.domain)
-        pos = {p: i + 1 for i, p in enumerate(base)}
-        keys = []
-        for gid in gt.keys:
-            el = structure.elements[gid]
-            img = {i: (j, g) for i, j, g in el.pairs}
-            perm = tuple(pos[img[p][0]] for p in base)
-            labs = tuple(img[p][1] for p in base)
-            keys.append((perm, labs))
-        if family == "rook":
-            return GroupRepSet(gt, _symmetric_reps(
-                len(base), [perm for perm, _ in keys], cap))
+    # the keys are (perm, labels) on the positions 1..k of dom(e_k)
+    family, k = structure.family, len(gt.keys[0][0])
+    if family == "rook":
+        return GroupRepSet(gt, _symmetric_reps(
+            k, [perm for perm, _ in gt.keys], cap))
+    if family == "wreath_rook":
         if not structure.label_group.is_abelian():
             raise CapabilityError(
                 "built-in wreath representations require an abelian label group")
-        return GroupRepSet(gt, _wreath_reps(structure.label_group, len(base),
-                                            keys, cap))
+        return GroupRepSet(gt, _wreath_reps(structure.label_group, k,
+                                            gt.keys, cap))
     # cyclic_shift, rotation, and any other cyclic case
     return cyclic_repset_for(gt)
 

@@ -28,7 +28,6 @@ class GroupTable:
         if len(self._index) != len(self.keys):
             raise StructureError("duplicate group elements")
         self._mul_key = mul_key
-        self._cache: dict[tuple[int, int], int] = {}
         self.identity = self._find_identity()
         self.inverse = [self._find_inverse(i) for i in range(len(self.keys))]
 
@@ -36,12 +35,7 @@ class GroupTable:
         return len(self.keys)
 
     def mul(self, i: int, j: int) -> int:
-        hit = self._cache.get((i, j))
-        if hit is not None:
-            return hit
-        k = self._index[self._mul_key(self.keys[i], self.keys[j])]
-        self._cache[(i, j)] = k
-        return k
+        return self._index[self._mul_key(self.keys[i], self.keys[j])]
 
     def inv(self, i: int) -> int:
         return self.inverse[i]
@@ -111,7 +105,7 @@ def cyclic_group(k: int) -> GroupTable:
 
 def _perm_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """(a o b)(x) = a(b(x)); permutations as image tuples on 1..k."""
-    return tuple(a[b[x - 1] - 1] for x in range(1, len(a) + 1))
+    return tuple([a[y - 1] for y in b])
 
 
 def symmetric_group(k: int, cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
@@ -129,10 +123,8 @@ def wreath_mul_key(label_mul: Callable[[int, int], int]):
     def mul(a, b):
         pa, ga = a
         pb, gb = b
-        perm = _perm_compose(pa, pb)
-        lab = tuple(label_mul(ga[pb[x - 1] - 1], gb[x - 1])
-                    for x in range(1, len(pa) + 1))
-        return (perm, lab)
+        return (tuple([pa[y - 1] for y in pb]),
+                tuple([label_mul(ga[y - 1], g) for y, g in zip(pb, gb)]))
     return mul
 
 

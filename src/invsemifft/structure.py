@@ -10,16 +10,16 @@ connector of idempotent e is the first element, in S's order, from the
 class representative onto e, and the sweep steps along the closures of
 idempotent domains (see _sweep_steps).  The analysis works on one image
 table built once from the pairs, images[s, x] = s(x) with its labels:
-idempotents, dom / ran ids and the groupoid coordinates are array
-gathers and row lookups on it, and only the maximal subgroup tables
-compose elements.  This module also hosts the quadratic zeta/Mobius
-reference transforms used as oracles everywhere.
+idempotents, dom / ran ids, the groupoid coordinates and the sweep's
+restrictions are array gathers and row lookups on it, and each maximal
+subgroup is a table of labeled permutations of dom(e_k) read from its
+rows.  Set-up composes no elements.  This module also hosts the
+quadratic zeta/Mobius reference transforms used as oracles everywhere.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .elements import (PartialMapElement, compose, encode, inverse_of,
                        natural_leq)
 from .errors import ContractError, DomainError, StructureError
-from .groups import GroupTable
+from .groups import GroupTable, wreath_mul_key
 
 @dataclass
 class DClassStructure:
@@ -36,7 +36,9 @@ class DClassStructure:
     idempotent_ids: list[int]          # sorted ascending
     rep_idempotent: int                # e_k
     connectors: dict[int, int]         # idempotent id -> p_e id
-    subgroup: GroupTable               # keys are semigroup element ids
+    # keys are (perm, labels): the action on sorted dom(e_k) in positions
+    # 1..k, not element ids; the ids are coord_ids[0, 0]
+    subgroup: GroupTable
     idem_pos: dict[int, int] = field(default_factory=dict)
     local_of: dict[int, int] = field(default_factory=dict)
     # (ran position, dom position, local subgroup index) -> element id
@@ -60,7 +62,6 @@ class SemigroupStructure:
         self._id_of = {e: i for i, e in enumerate(self.elements)}
         if len(self._id_of) != len(self.elements):
             raise StructureError("duplicate elements")
-        self._mul_cache: dict[tuple[int, int], int] = {}
         self._inv: list[int] | None = None
         self._downsets: list[list[int]] | None = None
         self._upsets: list[list[int]] | None = None
@@ -82,12 +83,8 @@ class SemigroupStructure:
             raise StructureError(f"element {e!r} is not in the semigroup") from None
 
     def mul(self, i: int, j: int) -> int:
-        hit = self._mul_cache.get((i, j))
-        if hit is not None:
-            return hit
-        k = self.id_of(compose(self.elements[i], self.elements[j], self.label_group))
-        self._mul_cache[(i, j)] = k
-        return k
+        return self.id_of(compose(self.elements[i], self.elements[j],
+                                  self.label_group))
 
     def inv(self, i: int) -> int:
         if self._inv is None:
@@ -188,8 +185,8 @@ class SemigroupStructure:
         mid = np.take_along_axis(self.images, p_img, 1)        # s(p_dom(x))
         y_img = np.take_along_axis(inv_img[p_ran], mid, 1)
         y_lab = np.zeros_like(y_img)
-        if self.label_group is not None:
-            lg = self.label_group
+        lg = self.label_group
+        if lg is not None:
             table = np.array([[lg.mul(a, b) for b in range(h)]
                               for a in range(h)], dtype=entry)
             inv_lab = np.zeros_like(self.labels)      # labels of s^-1
@@ -197,8 +194,7 @@ class SemigroupStructure:
             y_lab = table[table[np.take_along_axis(inv_lab[p_ran], mid, 1),
                                 np.take_along_axis(self.labels, p_img, 1)],
                           self.labels[p_dom]] * (y_img > 0)
-        y_id = _find_rows(np.concatenate([self.images, self.labels], 1),
-                          np.concatenate([y_img, y_lab], 1))
+        y_id = self._find_maps(y_img, y_lab)
         if (y_id < 0).any():
             raise StructureError("the elements are not closed under products")
 
@@ -207,18 +203,32 @@ class SemigroupStructure:
                            np.cumsum(np.bincount(class_of,
                                                  minlength=len(roots)))[:-1])
         a_pos, b_pos = pos_of_idem[ran_id], pos_of_idem[dom_id]
+        # The maximal subgroup of D_k: its elements from e_k onto e_k, keyed
+        # by (perm, labels), their action on sorted dom(e_k) in positions
+        # 1..k, gathered for every class at once.
+        corner = [ids[(a_pos[ids] == 0) & (b_pos[ids] == 0)] for ids in members]
+        sub = np.concatenate(corner)
+        img = self.images[sub]
+        on = img > 0
+        perm = np.take_along_axis(np.cumsum(on, 1, dtype=entry), img, 1)[on]
+        perm, labs = perm.tolist(), self.labels[sub][on].tolist()
+        ends = np.cumsum(on.sum(1)).tolist()
+        keys = [(tuple(perm[lo:hi]), tuple(labs[lo:hi]))
+                for lo, hi in zip([0] + ends, ends)]
+        key_mul = wreath_mul_key(lg.mul if lg is not None else lambda a, b: 0)
         local = np.zeros(n_el, dtype=np.intp)
         self.d_classes: list[DClassStructure] = []
-        for k, ((idems_k, connectors), ids) in enumerate(zip(classes, members)):
-            e_k = idems_k[0]
-            sub_ids = ids[(dom_id[ids] == e_k) & (ran_id[ids] == e_k)]
+        start = 0
+        for k, ((idems_k, connectors), ids, sub_ids) in enumerate(
+                zip(classes, members, corner)):
             local[sub_ids] = range(len(sub_ids))
-            subgroup = GroupTable(sub_ids.tolist(), self.mul,
+            subgroup = GroupTable(keys[start:start + len(sub_ids)], key_mul,
                                   name=f"G[{self.family},{k}]")
-            dc = DClassStructure(k, ids.tolist(), idems_k, e_k, connectors,
-                                 subgroup)
+            start += len(sub_ids)
+            dc = DClassStructure(k, ids.tolist(), idems_k, idems_k[0],
+                                 connectors, subgroup)
             dc.idem_pos = {e: p for p, e in enumerate(idems_k)}
-            dc.local_of = {g: p for p, g in enumerate(subgroup.keys)}
+            dc.local_of = {g: p for p, g in enumerate(sub_ids.tolist())}
             dc.coord_ids = np.zeros((len(idems_k), len(idems_k), len(subgroup)),
                                     dtype=np.intp)
             dc.coord_ids[a_pos[ids], b_pos[ids], local[y_id[ids]]] = ids
@@ -227,6 +237,11 @@ class SemigroupStructure:
         self.element_coords: list[tuple[int, int, int, int]] = list(zip(
             self.class_of, a_pos.tolist(), b_pos.tolist(),
             local[y_id].tolist()))
+
+    def _find_maps(self, img: np.ndarray, lab: np.ndarray) -> np.ndarray:
+        """The id of the element with each image row and label row, or -1."""
+        return _find_rows(np.concatenate([self.images, self.labels], 1),
+                          np.concatenate([img, lab], 1))
 
     def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The extension sweep's steps: step i holds every s < t in S with
@@ -237,45 +252,41 @@ class SemigroupStructure:
         joined by exactly one path of steps with increasing i: each step
         adds only points >= its index, so the first is forced, and so on.
         The sources of a target t are t restricted to each D that
-        _closure_steps lists for dom t; every t with one domain has its
-        pairs at the same positions, so one itemgetter serves them all.
+        _closure_steps lists for dom t: t's image and label rows with the
+        columns outside D zeroed, looked up among the elements' rows.
         """
-        idems = [self.elements[e].pairs for e in self.idempotents]
-        dom = np.zeros((len(idems), self.n), dtype=bool)
-        dom[[r for r, p in enumerate(idems) for _ in p],
-            [i - 1 for p in idems for i, _, _ in p]] = True
-        targets_on: dict[int, list[int]] = {e: [] for e in self.idempotents}
-        for t, e in enumerate(self.dom_id):
-            targets_on[e].append(t)
-        pairs = [e.pairs for e in self.elements]
-        id_of_pairs = {p: t for t, p in enumerate(pairs)}
-        d, f, point = _closure_steps(dom)
-        # positions of D's points among F's, in ascending order like t.pairs
-        in_d = dom[d]
-        rows, cols = np.nonzero(in_d)
-        pos = (np.cumsum(dom[f], 1)[rows, cols] - 1).tolist()
-        ends = np.cumsum(in_d.sum(1)).tolist()
-        sources: list[list[int]] = [[] for _ in range(self.n)]
-        targets: list[list[int]] = [[] for _ in range(self.n)]
-        for row, i, lo, hi in zip(f.tolist(), point.tolist(), [0] + ends, ends):
-            at = pos[lo:hi]
-            # itemgetter of one position would return the bare pair
-            restrict = (itemgetter(*at) if len(at) > 1
-                        else lambda p, at=at: tuple(p[k] for k in at))
-            on_f = targets_on[self.idempotents[row]]
-            try:
-                sources[i].extend([id_of_pairs[restrict(pairs[t])] for t in on_f])
-            except KeyError as exc:
-                missing = encode(PartialMapElement(self.n, exc.args[0]))
+        idems = np.asarray(self.idempotents, dtype=np.intp)
+        dom = self.images[idems] > 0              # column 0 is never in
+        d, f, point = _closure_steps(dom[:, 1:])
+        # the targets on each idempotent domain, ascending, as one run each
+        on_dom = np.searchsorted(idems, self.dom_id)
+        by_dom = np.argsort(on_dom, kind="stable")
+        count = np.bincount(on_dom, minlength=len(idems))
+        size = count[f]
+        targets = by_dom[np.repeat(np.cumsum(count)[f] - np.cumsum(size), size)
+                         + np.arange(size.sum())]
+        within = np.repeat(d, size)
+        sources = np.empty_like(targets)
+        # a lookup sorts the whole table with its rows; |S| rows at a time
+        # keep the peak memory near that of the table
+        chunk = max(1, len(self))
+        for lo in range(0, len(targets), chunk):
+            t, keep = targets[lo:lo + chunk], dom[within[lo:lo + chunk]]
+            img, lab = self.images[t] * keep, self.labels[t] * keep
+            sources[lo:lo + chunk] = found = self._find_maps(img, lab)
+            if (found < 0).any():
+                row = np.flatnonzero(found < 0)[0]
+                x = np.flatnonzero(img[row])
+                missing = encode(PartialMapElement(self.n, tuple(zip(
+                    x.tolist(), img[row, x].tolist(), lab[row, x].tolist()))))
                 raise StructureError(f"the elements are not closed under "
-                                     f"restriction: {missing} is missing") from None
-            targets[i].extend(on_f)
-        out = []
-        for s, t in zip(sources, targets):
-            s, t = np.array(s, dtype=np.intp), np.array(t, dtype=np.intp)
-            order = np.lexsort((t, s))
-            out.append((s[order], t[order]))
-        return out
+                                     f"restriction: {missing} is missing")
+        step = np.repeat(point, size)
+        order = np.lexsort((targets, sources, step))
+        sources, targets = sources[order], targets[order]
+        ends = np.cumsum(np.bincount(step, minlength=self.n)).tolist()
+        return [(sources[lo:hi], targets[lo:hi])
+                for lo, hi in zip([0] + ends, ends)]
 
     # -- order structure ---------------------------------------------------
 

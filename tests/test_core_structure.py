@@ -1,5 +1,7 @@
 """Structural decomposition: D-classes, connectors, subgroups, the
 natural order, Mobius values, and the groupoid product law."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from invsemifft import structure
 from invsemifft.elements import (PartialMapElement, compose, empty_map,
                                  inverse_of, partial_identity)
 from invsemifft.errors import ContractError, DomainError, StructureError
-from invsemifft.groups import GroupTable
+from invsemifft.groups import cyclic_group, symmetric_group
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
                                   SemigroupStructure, mobius_naive, zeta_naive)
 
@@ -134,36 +136,24 @@ def test_coordinates_equal_products():
         assert (S.dom_id, S.ran_id, S.element_coords) == coordinates_by_products(S)
 
 
-@pytest.mark.parametrize("family,n,label", [("rook", 5, None),
-                                            ("wreath_rook", 3, 2)])
-def test_no_compose_outside_the_subgroup_tables(family, n, label, monkeypatch):
-    """The structure analysis composes elements only inside the maximal
-    subgroup tables: everything else is read from the image table."""
-    depth, outside = [0], []
+def test_structure_never_composes(monkeypatch):
+    """Set-up reads everything off the image table, the maximal subgroup
+    tables included: building a structure calls no compose, inverse_of
+    or S.mul."""
+    cases = [make_structure("rook", 5), make_structure("wreath_rook", 3, 2),
+             make_structure("wreath_rook", 2, symmetric_group(3))]
+    n, elements = next(generated_semigroups())
+    cases.append(SemigroupStructure("custom", n, elements))
 
-    class CountingTable(GroupTable):
-        def mul(self, i, j):
-            depth[0] += 1
-            try:
-                return super().mul(i, j)
-            finally:
-                depth[0] -= 1
+    def fail(*args):
+        raise AssertionError("set-up composed elements")
 
-    def counted(f):
-        def wrapper(*args):
-            if not depth[0]:
-                outside.append(f.__name__)
-            return f(*args)
-        return wrapper
-
-    S = make_structure(family, n, label)
-    monkeypatch.setattr(structure, "GroupTable", CountingTable)
-    monkeypatch.setattr(structure, "compose", counted(compose))
-    monkeypatch.setattr(structure, "inverse_of", counted(inverse_of))
-    fresh = SemigroupStructure(family, n, S.elements, S.label_group)
-    assert outside == []
-    assert all(isinstance(dc.subgroup, CountingTable) for dc in fresh.d_classes)
-    assert fresh.element_coords == S.element_coords
+    monkeypatch.setattr(structure, "compose", fail)
+    monkeypatch.setattr(structure, "inverse_of", fail)
+    monkeypatch.setattr(SemigroupStructure, "mul", fail)
+    for S in cases:
+        fresh = SemigroupStructure(S.family, S.n, S.elements, S.label_group)
+        assert fresh.element_coords == S.element_coords
 
 
 def test_missing_restriction_rejected():
@@ -176,15 +166,63 @@ def test_missing_restriction_rejected():
         SemigroupStructure("custom", 2, elements)
 
 
+def test_labeled_missing_restriction_rejected():
+    """The Z2-labeled swap without its restriction to {1}: the missing
+    map is read from the masked label row too."""
+    elements = [empty_map(2), partial_identity(2, [1]),
+                partial_identity(2, [1, 2]),
+                PartialMapElement(2, ((1, 2, 1), (2, 1, 1)))]
+    with pytest.raises(StructureError, match="restriction: 1>2:1 is missing"):
+        SemigroupStructure("custom", 2, elements, label_group=cyclic_group(2))
+
+
+def structure_digest(S):
+    """sha256 over dom_id, ran_id, element_coords, every coord_ids, the
+    sweep steps and each subgroup's identity and inverses."""
+    h = hashlib.sha256()
+    parts = [S.dom_id, S.ran_id, S.element_coords,
+             *(dc.coord_ids for dc in S.d_classes),
+             *(a for step in S.sweep_steps for a in step),
+             *([dc.subgroup.identity, *dc.subgroup.inverse]
+               for dc in S.d_classes)]
+    for part in parts:
+        a = np.asarray(part, dtype="<i8")
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family,n,label,digest", [
+    ("rook", 4, None,
+     "c92e010f04f57c6426e47d2e50aa02fb34bea346f45c821250b555647088685e"),
+    ("wreath_rook", 3, 2,
+     "4747ac9bfbe4c8b646a8f867a322f4e756a3bbb0ba76fd83be48b7746d2c8604"),
+    ("wreath_rook", 2, "S3",
+     "a5144588f3c83b92819c402ea9b4a63c7ee468b4c199696c068797618c731c84"),
+    ("rotation", 7, None,
+     "82dbf9c2d4d052db441e0daba2a7db64b9e97b7561fc02efd259d869951e7ba0"),
+    ("cyclic_shift", 5, None,
+     "9f5cc6212f825b9bf2bb630921869995ec2582203efcc270416e5bb683a655a6"),
+    ("chain", 70, None,
+     "18f2ce2fecef9c259d7c8424552621e3e0cd9e460c817d9c2b870060320fde2b")])
+def test_structure_digest(family, n, label, digest):
+    """The structure's integer outputs, byte for byte, as recorded before
+    the subgroup tables and the sweep moved onto the image table."""
+    lg = symmetric_group(3) if label == "S3" else label
+    assert structure_digest(make_structure(family, n, lg)) == digest
+
+
 @pytest.mark.parametrize("family,n,label", CORPUS)
 def test_subgroup_identity_and_inverses(family, n, label):
     """Each maximal subgroup's identity is its class's representative
     idempotent, and its inverses are the semigroup's."""
     S = make_structure(family, n, label)
     for dc in S.d_classes:
-        g = dc.subgroup
-        assert g.keys[g.identity] == dc.rep_idempotent
-        for x, key in enumerate(g.keys):
+        g, ids = dc.subgroup, dc.coord_ids[0, 0].tolist()
+        k = S.elements[dc.rep_idempotent].rank
+        assert g.keys[g.identity] == (tuple(range(1, k + 1)), (0,) * k)
+        assert ids[g.identity] == dc.rep_idempotent
+        for x, key in enumerate(ids):
             assert g.inverse[x] == dc.local_of[S.inv(key)]
 
 
@@ -227,7 +265,7 @@ def test_coords_reconstruct_elements():
             dc = S.d_classes[k]
             p_a = dc.connectors[dc.idempotent_ids[a]]
             p_b = dc.connectors[dc.idempotent_ids[b]]
-            y_id = dc.subgroup.keys[y]
+            y_id = dc.coord_ids[0, 0, y]
             assert S.mul(S.mul(p_a, y_id), S.inv(p_b)) == i
 
 

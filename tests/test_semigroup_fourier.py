@@ -276,12 +276,12 @@ def test_group_degeneration_on_top_class():
     rng = np.random.default_rng(41)
     vals = np.zeros(len(S), dtype=complex)
     group_vals = rng.normal(size=6) + 1j * rng.normal(size=6)
-    for y, i in enumerate(rs.group.keys):
+    for y, i in enumerate(dc.coord_ids[0, 0].tolist()):
         vals[i] = group_vals[y]
     f = FunctionOnS(S, SEMIGROUP, vals)
     c = fft(f, Y)
     X = ConjugatedRepSet.random(Y, seed=43)
-    for y, i in enumerate(rs.group.keys):
+    for y, i in enumerate(dc.coord_ids[0, 0].tolist()):
         direct = sum(rep.dim * np.trace(
             c.blocks[e.offset] @ rep.matrices[rs.group.inv(y)])
             for e in Y.entries if e.class_index == dc.index
