@@ -136,24 +136,35 @@ def test_coordinates_equal_products():
         assert (S.dom_id, S.ran_id, S.element_coords) == coordinates_by_products(S)
 
 
-def test_structure_never_composes(monkeypatch):
-    """Set-up reads everything off the image table, the maximal subgroup
-    tables included: building a structure calls no compose, inverse_of
-    or S.mul."""
-    cases = [make_structure("rook", 5), make_structure("wreath_rook", 3, 2),
-             make_structure("wreath_rook", 2, symmetric_group(3))]
-    n, elements = next(generated_semigroups())
-    cases.append(SemigroupStructure("custom", n, elements))
-
+def rebuild_without_composing(S, monkeypatch):
+    """Build S again with compose, inverse_of and S.mul patched to fail,
+    and check the coordinates against the normal build."""
     def fail(*args):
         raise AssertionError("set-up composed elements")
 
     monkeypatch.setattr(structure, "compose", fail)
     monkeypatch.setattr(structure, "inverse_of", fail)
     monkeypatch.setattr(SemigroupStructure, "mul", fail)
-    for S in cases:
-        fresh = SemigroupStructure(S.family, S.n, S.elements, S.label_group)
-        assert fresh.element_coords == S.element_coords
+    fresh = SemigroupStructure(S.family, S.n, S.elements, S.label_group)
+    assert fresh.element_coords == S.element_coords
+
+
+@pytest.mark.parametrize("family,n,label", [("rook", 5, None),
+                                            ("wreath_rook", 3, 2)])
+def test_no_compose_outside_the_subgroup_tables(family, n, label, monkeypatch):
+    """Set-up reads everything off the image table, the maximal subgroup
+    tables included: building a structure calls no compose, inverse_of
+    or S.mul, inside the subgroup tables or outside them."""
+    rebuild_without_composing(make_structure(family, n, label), monkeypatch)
+
+
+def test_structure_never_composes(monkeypatch):
+    """The same guard on a non-abelian label group and a generated
+    semigroup."""
+    n, elements = next(generated_semigroups())
+    for S in [make_structure("wreath_rook", 2, symmetric_group(3)),
+              SemigroupStructure("custom", n, elements)]:
+        rebuild_without_composing(S, monkeypatch)
 
 
 def test_missing_restriction_rejected():
