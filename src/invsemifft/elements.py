@@ -8,7 +8,6 @@ Composition reads right to left, matching partial function composition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import StructureError
 from .groups import GroupTable
@@ -44,18 +43,8 @@ class PartialMapElement:
     def range(self) -> frozenset[int]:
         return frozenset(p[1] for p in self.pairs)
 
-    def image_of(self, i: int) -> Optional[tuple[int, int]]:
-        """(j, label) for domain point i, or None if i is not in the domain."""
-        for a, b, g in self.pairs:
-            if a == i:
-                return (b, g)
-        return None
-
     def is_partial_identity(self) -> bool:
         return all(i == j and g == 0 for i, j, g in self.pairs)
-
-    def sort_key(self) -> tuple:
-        return (self.rank, self.pairs)
 
 
 def identity_map(n: int) -> PartialMapElement:

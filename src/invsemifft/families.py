@@ -4,6 +4,10 @@ Families: rook (all partial injections), planar_rook (order-preserving
 partial injections), cyclic_shift (cyclic shifts between subsets),
 rotation (restrictions of the n rotations of a circle), wreath_rook
 (rook with group labels), and chain (nested partial identities under meet).
+Each is enumerated straight into its image and label tables, the input of
+SemigroupStructure.  The four rook-type families share one enumerator: an
+element is a k-subset D, a k-subset R and a positional map from the
+family's own group (S_k, the identity, Z_k, or S_k with H^k labels).
 """
 from __future__ import annotations
 
@@ -12,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .elements import PartialMapElement, empty_map, partial_identity
+import numpy as np
+
 from .errors import DomainError, SizeCapError, StructureError
 from .groups import DEFAULT_SIZE_CAP, GroupTable, label_group_by_name
 from .structure import SemigroupStructure
@@ -86,91 +91,45 @@ def count_formula(family: str) -> str:
     }[family]
 
 
-# -- membership predicates -------------------------------------------------
-
-def is_cyclic_shift(m: PartialMapElement) -> bool:
-    """True iff m sends the sorted domain onto a rotation of the sorted range."""
-    if any(g != 0 for _, _, g in m.pairs):
-        raise DomainError("predicate defined for identity labels only")
-    k = m.rank
-    if k == 0:
-        return True
-    src = sorted(m.domain)
-    dst = sorted(m.range)
-    image = dict((i, j) for i, j, _ in m.pairs)
-    j0 = dst.index(image[src[0]])
-    return all(image[src[r]] == dst[(j0 + r) % k] for r in range(k))
-
-
-def is_partial_rotation(m: PartialMapElement) -> bool:
-    """True iff every pair (i, m(i)) shares one shift k with m(i) = i+k mod n."""
-    if any(g != 0 for _, _, g in m.pairs):
-        raise DomainError("predicate defined for identity labels only")
-    n = m.ambient_size
-    shifts = {(j - i) % n for i, j, _ in m.pairs}
-    return len(shifts) <= 1
-
-
-def rot_orbit_size(e: PartialMapElement, n: int) -> int:
-    """j(e): the size of the orbit of dom(e) under rotation of {1..n}."""
-    if not e.is_partial_identity():
-        raise DomainError("rot_orbit_size expects an idempotent")
-    base = e.domain
-    for j in range(1, n + 1):
-        if frozenset((i - 1 + j) % n + 1 for i in base) == base:
-            return j
-    raise DomainError("orbit computation failed")  # unreachable for valid input
-
-
 # -- enumeration -----------------------------------------------------------
 
-def _enumerate(spec: FamilySpec) -> list[PartialMapElement]:
-    n = spec.n
-    pts = range(1, n + 1)
-    out: list[PartialMapElement] = []
-    if spec.family == "rook":
-        for k in range(n + 1):
-            for dom in itertools.combinations(pts, k):
-                for ran in itertools.combinations(pts, k):
-                    for img in itertools.permutations(ran):
-                        out.append(PartialMapElement(
-                            n, tuple((i, j, 0) for i, j in zip(dom, img))))
-    elif spec.family == "planar_rook":
-        for k in range(n + 1):
-            for dom in itertools.combinations(pts, k):
-                for ran in itertools.combinations(pts, k):
-                    out.append(PartialMapElement(
-                        n, tuple((i, j, 0) for i, j in zip(dom, ran))))
-    elif spec.family == "cyclic_shift":
-        out.append(empty_map(n))
-        for k in range(1, n + 1):
-            for dom in itertools.combinations(pts, k):
-                for ran in itertools.combinations(pts, k):
-                    for off in range(k):
-                        out.append(PartialMapElement(
-                            n, tuple((dom[r], ran[(off + r) % k], 0)
-                                     for r in range(k))))
-    elif spec.family == "rotation":
-        seen = {empty_map(n)}
-        for shift in range(n):
-            for r in range(1, n + 1):
-                for dom in itertools.combinations(pts, r):
-                    seen.add(PartialMapElement(
-                        n, tuple((i, (i - 1 + shift) % n + 1, 0) for i in dom)))
-        out = list(seen)
-    elif spec.family == "wreath_rook":
-        h = len(spec.label_group)
-        for k in range(n + 1):
-            for dom in itertools.combinations(pts, k):
-                for ran in itertools.combinations(pts, k):
-                    for img in itertools.permutations(ran):
-                        for labels in itertools.product(range(h), repeat=k):
-                            out.append(PartialMapElement(
-                                n, tuple((i, j, g)
-                                         for (i, j), g in zip(zip(dom, img), labels))))
-    elif spec.family == "chain":
-        out = [partial_identity(n, range(1, m + 1)) for m in range(1, n + 1)]
-    return out
+def _tables(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
+    """The family's image and label tables, one row per element, in no
+    particular order (SemigroupStructure sorts them)."""
+    n, fam = spec.n, spec.family
+    cols = np.arange(n + 1)
+    if fam == "chain":
+        images = cols * (cols <= cols[1:, None])
+        return images, np.zeros_like(images)
+    if fam == "rotation":
+        # each nonempty domain under each of the n shifts, and the empty map
+        on = (np.arange(1, 2 ** n)[:, None] >> cols[:-1]) & 1
+        shifted = (cols[:-1, None] + cols[:-1]) % n + 1
+        images = np.zeros(((2 ** n - 1) * n + 1, n + 1), dtype=np.intp)
+        images[1:, 1:] = (on[:, None] * shifted).reshape(-1, n)
+        return images, np.zeros_like(images)
+    # rook-type: the r-th point of a k-subset D goes to the p(r)-th point
+    # of a k-subset R with label g_r, for p one of the family's positional
+    # maps and g in H^k (H trivial but for wreath_rook)
+    h = 1 if spec.label_group is None else len(spec.label_group)
+    images, labels = [], []
+    for k in range(n + 1):
+        subsets = np.array([*itertools.combinations(cols[1:], k)], dtype=np.intp)
+        if fam == "planar_rook":
+            perms = cols[None, :k]
+        elif fam == "cyclic_shift":
+            perms = (cols[:max(k, 1), None] + cols[:k]) % max(k, 1)
+        else:
+            perms = np.array([*itertools.permutations(range(k))], dtype=np.intp)
+        labs = np.array([*itertools.product(range(h), repeat=k)], dtype=np.intp)
+        d, r, p, g = (a.ravel() for a in np.indices(
+            (len(subsets), len(subsets), len(perms), len(labs))))
+        images.append(np.zeros((len(d), n + 1), dtype=np.intp))
+        labels.append(np.zeros_like(images[-1]))
+        np.put_along_axis(images[-1], subsets[d],
+                          np.take_along_axis(subsets[r], perms[p], 1), 1)
+        np.put_along_axis(labels[-1], subsets[d], labs[g], 1)
+    return np.concatenate(images), np.concatenate(labels)
 
 
 _BUILD_CACHE: dict[tuple, SemigroupStructure] = {}
@@ -185,16 +144,17 @@ def build(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> SemigroupStructure:
                 else f"at least 2^{predicted.bit_length() - 1}")
         raise SizeCapError(
             f"{spec.family} n={spec.n} has {size} elements, over cap {cap}")
-    key = (spec.family, spec.n,
-           spec.label_group.name if spec.label_group is not None else None, cap)
+    lg = spec.label_group
+    product = None if lg is None else tuple(
+        tuple(lg.mul(a, b) for b in range(len(lg))) for a in range(len(lg)))
+    key = (spec.family, spec.n, product)
     hit = _BUILD_CACHE.get(key)
     if hit is not None:
         return hit
-    elements = _enumerate(spec)
-    if len(set(elements)) != predicted:
+    images, labels = _tables(spec)
+    if len(images) != predicted:
         raise StructureError(
-            f"enumerated {len(set(elements))} elements, expected {predicted}")
-    s = SemigroupStructure(spec.family, spec.n, elements,
-                           label_group=spec.label_group)
+            f"enumerated {len(images)} elements, expected {predicted}")
+    s = SemigroupStructure(spec.family, spec.n, images, labels, label_group=lg)
     _BUILD_CACHE[key] = s
     return s

@@ -1,23 +1,24 @@
 """Structural analysis of a finite inverse semigroup of partial maps.
 
-SemigroupStructure takes a closed element set and produces the full
-decomposition: idempotents, the natural partial order, Green's D-classes
-with chosen representative idempotents, connectors, maximal subgroup
-tables, the per-element coordinates under the groupoid decomposition, and
-the steps of the extension sweep.  Every part is read off the elements,
-so any inverse semigroup of partial maps is analysed the same way: the
-connector of idempotent e is the first element, in S's order, from the
-class representative onto e, and the sweep steps along the closures of
-idempotent domains (see _sweep_steps).  The analysis works on one image
-table built once from the pairs, images[s, x] = s(x) with its labels:
-idempotents, dom / ran ids, the groupoid coordinates and the sweep's
-restrictions are array gathers and row lookups on it, and each maximal
-subgroup is a table of labeled permutations of dom(e_k) read from its
-rows.  Set-up composes no elements.  This module also hosts the
-quadratic zeta/Mobius reference transforms used as oracles everywhere.
+A semigroup enters SemigroupStructure as its image table: images[s, x]
+= s(x) and labels[s, x] its label, both 0 where s(x) is undefined, and
+column 0 all 0 (from_elements builds the tables from PartialMapElements).
+The rows are checked, then sorted by rank and by their (i, s(i), label)
+pairs.  Every part of the decomposition is read off the tables, so any
+inverse semigroup of partial maps is analysed the same way: idempotents,
+dom / ran ids and Green's D-classes; the connector of idempotent e, the
+first element in S's order from the class representative onto e; each
+maximal subgroup as a table of labeled permutations of dom(e_k); the
+groupoid coordinates; and the sweep steps along the closures of
+idempotent domains, whose restrictions are masked rows (see
+_sweep_steps).  Set-up composes no elements and builds none: `elements`
+is a view decoded from the rows on demand, for the oracles and the JSON
+boundary.  This module also hosts the quadratic zeta/Mobius reference
+transforms used as oracles everywhere.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -50,18 +51,14 @@ class DClassStructure:
 
 
 class SemigroupStructure:
-    def __init__(self, family: str, n: int,
-                 elements: Sequence[PartialMapElement],
-                 label_group: GroupTable | None = None):
+    def __init__(self, family: str, n: int, images: np.ndarray,
+                 labels: np.ndarray, label_group: GroupTable | None = None):
         self.family = family
         self.n = n
         self.label_group = label_group
-        self.elements = sorted(elements, key=lambda e: e.sort_key())
-        if any(e.ambient_size != n for e in self.elements):
-            raise StructureError(f"every element must act on {{1..{n}}}")
-        self._id_of = {e: i for i, e in enumerate(self.elements)}
-        if len(self._id_of) != len(self.elements):
-            raise StructureError("duplicate elements")
+        self.images, self.labels = _sorted_tables(
+            n, 1 if label_group is None else len(label_group),
+            np.asarray(images), np.asarray(labels))
         self._inv: list[int] | None = None
         self._downsets: list[list[int]] | None = None
         self._upsets: list[list[int]] | None = None
@@ -71,10 +68,35 @@ class SemigroupStructure:
         self.sweep_steps: list[tuple[np.ndarray, np.ndarray]] = \
             self._sweep_steps()
 
+    @classmethod
+    def from_elements(cls, family: str, n: int,
+                      elements: Sequence[PartialMapElement],
+                      label_group: GroupTable | None = None
+                      ) -> "SemigroupStructure":
+        """The structure of a closed set of user-built elements."""
+        if any(e.ambient_size != n for e in elements):
+            raise StructureError(f"every element must act on {{1..{n}}}")
+        flat = [(r, *p) for r, e in enumerate(elements) for p in e.pairs]
+        r, i, j, g = np.array(flat, dtype=np.intp).reshape(-1, 4).T
+        images = np.zeros((len(elements), n + 1), dtype=np.intp)
+        labels = np.zeros_like(images)
+        images[r, i], labels[r, i] = j, g
+        return cls(family, n, images, labels, label_group)
+
+    # -- elements, decoded from the rows on demand -------------------------
+
+    @functools.cached_property
+    def elements(self) -> list[PartialMapElement]:
+        return _maps(self.n, self.images, self.labels)
+
+    @functools.cached_property
+    def _id_of(self) -> dict[PartialMapElement, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
     # -- basic arithmetic on canonical ids ---------------------------------
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
 
     def id_of(self, e: PartialMapElement) -> int:
         try:
@@ -98,25 +120,11 @@ class SemigroupStructure:
     # -- structural analysis -----------------------------------------------
 
     def _analyze(self) -> None:
-        n_el, n = len(self.elements), self.n
-        # images[s, x] = s(x) and labels[s, x] its label, both 0 where s(x)
-        # is undefined; column 0 is all 0, so gathers through 0 stay 0.
-        # Entries take the least unsigned type that holds n and every label.
-        ranks = [e.rank for e in self.elements]
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.chain.from_iterable(e.pairs for e in self.elements)),
-            dtype=np.int32, count=3 * sum(ranks)).reshape(-1, 3)
+        n_el, n = len(self), self.n
+        entry = self.images.dtype
         h = 1 if self.label_group is None else len(self.label_group)
-        if not ((flat[:, 2] >= 0) & (flat[:, 2] < h)).all():
-            raise StructureError("labels present but no label group supplied"
-                                 if self.label_group is None else
-                                 "a label lies outside the label group")
-        rows = np.repeat(np.arange(n_el), ranks)
-        entry = np.min_scalar_type(max(n, h))
-        self.images = np.zeros((n_el, n + 1), dtype=entry)
-        self.labels = np.zeros((n_el, n + 1), dtype=entry)
-        self.images[rows, flat[:, 0]] = flat[:, 1]
-        self.labels[rows, flat[:, 0]] = flat[:, 2]
+        rows, cols = np.nonzero(self.images)   # the pairs: s maps cols to dst
+        dst = self.images[rows, cols]
         # s s = s for an injective labeled map iff s fixes its domain with
         # idempotent, hence identity, labels: a partial identity.
         defined = self.images > 0
@@ -126,11 +134,12 @@ class SemigroupStructure:
         # dom_id[i] = i^-1 i and ran_id[i] = i i^-1: the idempotents whose
         # point sets are i's domain and range.
         ran = np.zeros_like(defined)
-        ran[rows, flat[:, 1]] = True
+        ran[rows, dst] = True
         found = _find_rows(np.packbits(defined[idems], axis=1),
                            np.packbits(np.concatenate([defined, ran]), axis=1))
         if (found < 0).any():
-            el = self.elements[np.flatnonzero(found < 0)[0] % n_el]
+            at = [np.flatnonzero(found < 0)[0] % n_el]
+            el = _maps(n, self.images[at], self.labels[at])[0]
             raise StructureError(f"no idempotent on the domain or range of {el!r}")
         dom_id, ran_id = idems[found[:n_el]], idems[found[n_el:]]
         self.dom_id, self.ran_id = dom_id.tolist(), ran_id.tolist()
@@ -179,7 +188,7 @@ class SemigroupStructure:
         # y = p_ran(s)^-1 s p_dom(s) at grid position (ran(s), dom(s)),
         # found among the elements by its image and label rows.
         inv_img = np.zeros_like(self.images)          # rows of s^-1
-        inv_img[rows, flat[:, 1]] = flat[:, 0]
+        inv_img[rows, dst] = cols
         p_dom, p_ran = connector[dom_id], connector[ran_id]
         p_img = self.images[p_dom]
         mid = np.take_along_axis(self.images, p_img, 1)        # s(p_dom(x))
@@ -190,7 +199,7 @@ class SemigroupStructure:
             table = np.array([[lg.mul(a, b) for b in range(h)]
                               for a in range(h)], dtype=entry)
             inv_lab = np.zeros_like(self.labels)      # labels of s^-1
-            inv_lab[rows, flat[:, 1]] = np.asarray(lg.inverse)[flat[:, 2]]
+            inv_lab[rows, dst] = np.asarray(lg.inverse)[self.labels[rows, cols]]
             y_lab = table[table[np.take_along_axis(inv_lab[p_ran], mid, 1),
                                 np.take_along_axis(self.labels, p_img, 1)],
                           self.labels[p_dom]] * (y_img > 0)
@@ -275,10 +284,8 @@ class SemigroupStructure:
             img, lab = self.images[t] * keep, self.labels[t] * keep
             sources[lo:lo + chunk] = found = self._find_maps(img, lab)
             if (found < 0).any():
-                row = np.flatnonzero(found < 0)[0]
-                x = np.flatnonzero(img[row])
-                missing = encode(PartialMapElement(self.n, tuple(zip(
-                    x.tolist(), img[row, x].tolist(), lab[row, x].tolist()))))
+                at = [np.flatnonzero(found < 0)[0]]
+                missing = encode(_maps(self.n, img[at], lab[at])[0])
                 raise StructureError(f"the elements are not closed under "
                                      f"restriction: {missing} is missing")
         step = np.repeat(point, size)
@@ -333,8 +340,50 @@ class SemigroupStructure:
         self._mobius_memo[(s, t)] = val
         return val
 
-    def encode_id(self, i: int) -> str:
-        return encode(self.elements[i])
+
+def _sorted_tables(n: int, h: int, images: np.ndarray, labels: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The tables, checked, sorted by rank and then by their (i, s(i),
+    label) pairs in domain order, in the least unsigned type that holds n
+    and every label."""
+    if (images.ndim != 2 or images.shape[1] != n + 1
+            or labels.shape != images.shape
+            or not {images.dtype.kind, labels.dtype.kind} <= set("iu")):
+        raise StructureError(f"the tables must be integer arrays of shape "
+                             f"(|S|, {n + 1})")
+    ordered = np.sort(images, 1)
+    for bad, what in [
+            (images[:, 0].any() or labels[:, 0].any(), "a nonzero column 0"),
+            (((images < 0) | (images > n)).any(), f"an image outside 1..{n}"),
+            (((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] > 0)).any(),
+             "a row that is not injective"),
+            ((labels * (images == 0)).any(), "a label where a map is undefined"),
+            (((labels < 0) | (labels >= h)).any(), "a label outside the label "
+             "group" if h > 1 else "labels but no label group")]:
+        if bad:
+            raise StructureError(f"the tables hold {what}")
+    # a row's key: its rank, then one integer per (i, s(i), label), i
+    # ascending; the points past the rank never decide the order
+    points = np.argsort(images[:, 1:] == 0, axis=1, kind="stable") + 1
+    pairs = ((points * (n + 1) + np.take_along_axis(images, points, 1)) * h
+             + np.take_along_axis(labels, points, 1))
+    keys = np.vstack([pairs.T[::-1], (images > 0).sum(1)])
+    order = np.lexsort(keys)
+    if (keys[:, order[1:]] == keys[:, order[:-1]]).all(0).any():
+        raise StructureError("duplicate elements")
+    entry = np.min_scalar_type(max(n, h))
+    return images[order].astype(entry), labels[order].astype(entry)
+
+
+def _maps(n: int, images: np.ndarray, labels: np.ndarray
+          ) -> list[PartialMapElement]:
+    """The elements with these image and label rows."""
+    rows, cols = np.nonzero(images)
+    pairs = list(zip(cols.tolist(), images[rows, cols].tolist(),
+                     labels[rows, cols].tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=len(images))).tolist()
+    return [PartialMapElement(n, tuple(pairs[lo:hi]))
+            for lo, hi in zip([0] + ends, ends)]
 
 
 def _closure_steps(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

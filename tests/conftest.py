@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from invsemifft.elements import PartialMapElement, compose, inverse_of
+from invsemifft.errors import DomainError
 from invsemifft.families import FamilySpec, build
 from invsemifft.groups import cyclic_group
 from invsemifft.structure import SEMIGROUP, FunctionOnS
@@ -51,6 +52,42 @@ def generated_semigroups(count=60):
         if elements is not None:
             count -= 1
             yield n, elements
+
+
+# -- membership predicates, an element at a time ---------------------------
+
+def is_cyclic_shift(m: PartialMapElement) -> bool:
+    """True iff m sends the sorted domain onto a rotation of the sorted range."""
+    if any(g != 0 for _, _, g in m.pairs):
+        raise DomainError("predicate defined for identity labels only")
+    k = m.rank
+    if k == 0:
+        return True
+    src = sorted(m.domain)
+    dst = sorted(m.range)
+    image = dict((i, j) for i, j, _ in m.pairs)
+    j0 = dst.index(image[src[0]])
+    return all(image[src[r]] == dst[(j0 + r) % k] for r in range(k))
+
+
+def is_partial_rotation(m: PartialMapElement) -> bool:
+    """True iff every pair (i, m(i)) shares one shift k with m(i) = i+k mod n."""
+    if any(g != 0 for _, _, g in m.pairs):
+        raise DomainError("predicate defined for identity labels only")
+    n = m.ambient_size
+    shifts = {(j - i) % n for i, j, _ in m.pairs}
+    return len(shifts) <= 1
+
+
+def rot_orbit_size(e: PartialMapElement, n: int) -> int:
+    """j(e): the size of the orbit of dom(e) under rotation of {1..n}."""
+    if not e.is_partial_identity():
+        raise DomainError("rot_orbit_size expects an idempotent")
+    base = e.domain
+    for j in range(1, n + 1):
+        if frozenset((i - 1 + j) % n + 1 for i in base) == base:
+            return j
+    raise DomainError("orbit computation failed")  # unreachable for valid input
 
 
 @pytest.fixture

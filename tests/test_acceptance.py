@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from invsemifft.elements import identity_map
-from invsemifft.families import FamilySpec, build, predicted_size, rot_orbit_size
+from invsemifft.families import FamilySpec, build, predicted_size
 from invsemifft.fast_transforms import OpCounter, fast_mobius, fast_zeta
 from invsemifft.group_harmonics import (irreps_cyclic, irreps_symmetric,
                                         irreps_wreath_abelian, validate_repset)
@@ -23,7 +23,7 @@ from invsemifft.semigroup_fourier import (ConjugatedRepSet, convolve_fft,
                                           naive_ft)
 from invsemifft.structure import SEMIGROUP, FunctionOnS, zeta_naive
 
-from conftest import make_structure, random_function
+from conftest import make_structure, random_function, rot_orbit_size
 
 
 def check(num, name, ok):

@@ -86,7 +86,7 @@ def test_connectors_are_the_family_bijections(family, n, label):
 def test_ambient_size_mismatch_rejected(n):
     elements = [empty_map(3), partial_identity(3, [1, 2, 3])]
     with pytest.raises(StructureError, match="act on"):
-        SemigroupStructure("custom", n, elements)
+        SemigroupStructure.from_elements("custom", n, elements)
 
 
 @pytest.mark.parametrize("family,n,label", CORPUS)
@@ -103,8 +103,8 @@ def test_dom_ran_ids_are_products(family, n, label):
 def test_domain_without_idempotent_rejected():
     # 1 -> 2 without its inverse: no idempotent has the domain {1}
     with pytest.raises(StructureError, match="no idempotent"):
-        SemigroupStructure("custom", 2,
-                           [empty_map(2), PartialMapElement(2, ((1, 2, 0),))])
+        SemigroupStructure.from_elements(
+            "custom", 2, [empty_map(2), PartialMapElement(2, ((1, 2, 0),))])
 
 
 def coordinates_by_products(S):
@@ -130,7 +130,7 @@ def test_coordinates_equal_products():
     table, equal their compose-based definitions on every CORPUS family
     and on the seeded generated semigroups."""
     cases = [make_structure(*case) for case in CORPUS]
-    cases += [SemigroupStructure("custom", n, elements)
+    cases += [SemigroupStructure.from_elements("custom", n, elements)
               for n, elements in generated_semigroups()]
     for S in cases:
         assert (S.dom_id, S.ran_id, S.element_coords) == coordinates_by_products(S)
@@ -145,7 +145,8 @@ def rebuild_without_composing(S, monkeypatch):
     monkeypatch.setattr(structure, "compose", fail)
     monkeypatch.setattr(structure, "inverse_of", fail)
     monkeypatch.setattr(SemigroupStructure, "mul", fail)
-    fresh = SemigroupStructure(S.family, S.n, S.elements, S.label_group)
+    fresh = SemigroupStructure.from_elements(S.family, S.n, S.elements,
+                                             S.label_group)
     assert fresh.element_coords == S.element_coords
 
 
@@ -163,7 +164,7 @@ def test_structure_never_composes(monkeypatch):
     semigroup."""
     n, elements = next(generated_semigroups())
     for S in [make_structure("wreath_rook", 2, symmetric_group(3)),
-              SemigroupStructure("custom", n, elements)]:
+              SemigroupStructure.from_elements("custom", n, elements)]:
         rebuild_without_composing(S, monkeypatch)
 
 
@@ -174,7 +175,7 @@ def test_missing_restriction_rejected():
                 partial_identity(2, [1, 2]),
                 PartialMapElement(2, ((1, 2, 0), (2, 1, 0)))]
     with pytest.raises(StructureError, match="restriction: 1>2 is missing"):
-        SemigroupStructure("custom", 2, elements)
+        SemigroupStructure.from_elements("custom", 2, elements)
 
 
 def test_labeled_missing_restriction_rejected():
@@ -184,7 +185,32 @@ def test_labeled_missing_restriction_rejected():
                 partial_identity(2, [1, 2]),
                 PartialMapElement(2, ((1, 2, 1), (2, 1, 1)))]
     with pytest.raises(StructureError, match="restriction: 1>2:1 is missing"):
-        SemigroupStructure("custom", 2, elements, label_group=cyclic_group(2))
+        SemigroupStructure.from_elements("custom", 2, elements,
+                                         label_group=cyclic_group(2))
+
+
+EMPTY, ONE, BOTH = [0, 0, 0], [0, 1, 0], [0, 1, 2]
+
+
+@pytest.mark.parametrize("images,labels,label_group,match", [
+    ([EMPTY, [0, 1, 1]], [EMPTY, EMPTY], None, "not injective"),
+    ([EMPTY, [0, 3, 0]], [EMPTY, EMPTY], None, "image outside"),
+    ([EMPTY, [1, 1, 2]], [EMPTY, EMPTY], None, "column 0"),
+    ([EMPTY, ONE], [EMPTY, [0, 0, 1]], cyclic_group(2), "map is undefined"),
+    ([EMPTY, BOTH], [EMPTY, ONE], None, "no label group"),
+    ([EMPTY, BOTH], [EMPTY, [0, 2, 0]], cyclic_group(2), "outside the label"),
+    ([EMPTY, BOTH, BOTH], [EMPTY] * 3, None, "duplicate"),
+    ([[0, 1], [0, 0]], [[0, 0], [0, 0]], None, "shape"),
+    ([EMPTY, BOTH], [EMPTY], None, "shape"),
+    ([EMPTY, [0, 1.5, 0]], [EMPTY, EMPTY], None, "integer")],
+    ids=["not-injective", "image-over-n", "column-0", "undefined-label",
+         "no-label-group", "label-over-h", "duplicate", "width", "shapes",
+         "floats"])
+def test_malformed_tables_rejected(images, labels, label_group, match):
+    """The table constructor checks its input before analysing it."""
+    with pytest.raises(StructureError, match=match):
+        SemigroupStructure("custom", 2, np.array(images), np.array(labels),
+                           label_group)
 
 
 def structure_digest(S):
@@ -215,12 +241,45 @@ def structure_digest(S):
     ("cyclic_shift", 5, None,
      "9f5cc6212f825b9bf2bb630921869995ec2582203efcc270416e5bb683a655a6"),
     ("chain", 70, None,
-     "18f2ce2fecef9c259d7c8424552621e3e0cd9e460c817d9c2b870060320fde2b")])
+     "18f2ce2fecef9c259d7c8424552621e3e0cd9e460c817d9c2b870060320fde2b"),
+    ("planar_rook", 5, None,
+     "c217e3b33d9ba82194684e552433a12ca3f79c2fa9b6febd61fe48fd08969683"),
+    ("rook", 5, None,
+     "1551c8dc395177189e12d98abcfca3d1148c1b5c456828cb566b85a9109ba539")])
 def test_structure_digest(family, n, label, digest):
     """The structure's integer outputs, byte for byte, as recorded before
     the subgroup tables and the sweep moved onto the image table."""
     lg = symmetric_group(3) if label == "S3" else label
     assert structure_digest(make_structure(family, n, lg)) == digest
+
+
+@pytest.mark.parametrize("family,n,label,digest", [
+    ("rook", 4, None,
+     "8e8657e7748b8f776852fa0df544c1125b05d50f1303b7587083e39e11a57121"),
+    ("wreath_rook", 3, 2,
+     "66aba40f7b0c3f66081dcc819ab72855209584072b0da00d72e4ffcea26c8f70"),
+    ("wreath_rook", 2, "S3",
+     "d9471e849901a41d045a1d3270a1301c47068018c49eef744897e086ec8bbb72"),
+    ("rotation", 7, None,
+     "3bd9acd2d0ed68b9edbf082a95bc4bfddfee9ece320b307aa3c9f7827a997989"),
+    ("cyclic_shift", 5, None,
+     "051c8c484fb510222c84d86ef87804eab5299d99eb32a9333a8ef3931985cd6f"),
+    ("chain", 70, None,
+     "fcee310d339b78fcba1e62c4e2ad59d117e4626ab16c7555cd44d2c89fa39629"),
+    ("planar_rook", 5, None,
+     "ccc7a8d858ad0745a61dcfea1d26597ac3045852be1d0d409cc91494e16f967c"),
+    ("rook", 5, None,
+     "4d33794e5b4b1d311a44d7b65bc73f8d61ad8638b17a957dcaa9c0df49e79d04")])
+def test_table_digest(family, n, label, digest):
+    """The image and label tables, dtype, shape and bytes, as recorded
+    before the families were enumerated straight into them."""
+    lg = symmetric_group(3) if label == "S3" else label
+    S = make_structure(family, n, lg)
+    h = hashlib.sha256()
+    for a in (S.images, S.labels):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest() == digest
 
 
 @pytest.mark.parametrize("family,n,label", CORPUS)

@@ -2,16 +2,18 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
+from invsemifft import families
 from invsemifft.elements import PartialMapElement, empty_map
 from invsemifft.errors import DomainError, SizeCapError, StructureError
-from invsemifft.families import (FAMILIES, FamilySpec, build, is_cyclic_shift,
-                                 is_partial_rotation, predicted_size,
-                                 rot_orbit_size)
-from invsemifft.groups import cyclic_group, symmetric_group
+from invsemifft.families import FAMILIES, FamilySpec, build, predicted_size
+from invsemifft.groups import GroupTable, cyclic_group, symmetric_group
+from invsemifft.semigroup_fourier import fft, ifft, induce
 
-from conftest import make_structure
+from conftest import (is_cyclic_shift, is_partial_rotation, make_structure,
+                      random_function, rot_orbit_size)
 
 
 def test_rook_counts():
@@ -163,6 +165,34 @@ def test_size_cap():
         build(FamilySpec("rook", 4), cap=100)
     with pytest.raises(SizeCapError, match="at least 2"):
         build(FamilySpec("rotation", 20000))
+
+
+def test_build_cache_keys_on_the_label_table():
+    """Two unnamed label groups of different orders build two semigroups,
+    and the size cap does not split one semigroup into two structures."""
+    z2 = GroupTable([0, 1], lambda a, b: (a + b) % 2)
+    z3 = GroupTable([0, 1, 2], lambda a, b: (a + b) % 3)
+    assert len(build(FamilySpec("wreath_rook", 2, z2))) == 17
+    assert len(build(FamilySpec("wreath_rook", 2, z3))) == 31
+    spec = FamilySpec("rook", 3)
+    assert build(spec) is build(spec, cap=10 ** 7)
+
+
+@pytest.mark.parametrize("family,n,label", [
+    ("rook", 4, None), ("planar_rook", 4, None), ("cyclic_shift", 4, None),
+    ("rotation", 5, None), ("wreath_rook", 2, 2), ("chain", 5, None)])
+def test_pipeline_builds_no_elements(family, n, label, monkeypatch):
+    """build, induce and an fft -> ifft round trip work on the image
+    table alone: none of them constructs a PartialMapElement."""
+    def fail(self):
+        raise AssertionError("a PartialMapElement was constructed")
+
+    monkeypatch.setattr(families, "_BUILD_CACHE", {})
+    monkeypatch.setattr(PartialMapElement, "__post_init__", fail)
+    S = make_structure(family, n, label)
+    f = random_function(S, np.random.default_rng(3))
+    back = ifft(fft(f, induce(S)))
+    assert np.abs(back.values - f.values).max() < 1e-9
 
 
 def test_restriction_closure():

@@ -62,8 +62,8 @@ def test_round_trip_both_directions(family, n, label):
 
 def semilattice(n, domains):
     """A user-built semigroup: the partial identities on `domains`."""
-    return SemigroupStructure("custom", n,
-                              [partial_identity(n, d) for d in domains])
+    return SemigroupStructure.from_elements(
+        "custom", n, [partial_identity(n, d) for d in domains])
 
 
 def boolean_semilattice(n):
@@ -138,7 +138,7 @@ def test_semigroup_without_order_preserving_connectors():
     """s = {1->3, 2->1} generates 14 maps; dom {1,2} reaches ran {1,3}
     only by s itself, which is not order preserving."""
     elements = generated([PartialMapElement(3, ((1, 3, 0), (2, 1, 0)))])
-    S = SemigroupStructure("custom", 3, elements)
+    S = SemigroupStructure.from_elements("custom", 3, elements)
     assert len(S) == 14
     assert check_transforms(S)
 
@@ -146,8 +146,8 @@ def test_semigroup_without_order_preserving_connectors():
 def test_random_generated_semigroups():
     """Inverse semigroups closed from 1-3 random partial maps on n = 3-5
     points: every one builds, and the transforms are exact on each."""
-    full = sum(check_transforms(SemigroupStructure("custom", n, elements))
-               for n, elements in generated_semigroups())
+    full = sum(check_transforms(SemigroupStructure.from_elements(
+        "custom", n, elements)) for n, elements in generated_semigroups())
     assert full >= 56              # every case with cyclic maximal subgroups
 
 
