@@ -145,9 +145,7 @@ def build(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> SemigroupStructure:
         raise SizeCapError(
             f"{spec.family} n={spec.n} has {size} elements, over cap {cap}")
     lg = spec.label_group
-    product = None if lg is None else tuple(
-        tuple(lg.mul(a, b) for b in range(len(lg))) for a in range(len(lg)))
-    key = (spec.family, spec.n, product)
+    key = (spec.family, spec.n, None if lg is None else lg.table.tobytes())
     hit = _BUILD_CACHE.get(key)
     if hit is not None:
         return hit

@@ -291,9 +291,7 @@ def abelian_characters(group: GroupTable) -> list[np.ndarray]:
         # fixed pseudo-random combination; eigenvectors give the characters.
         rng = np.random.default_rng(12345)
         regs = np.zeros((k, k, k))
-        for g in range(k):
-            for h in range(k):
-                regs[g, group.mul(g, h), h] = 1.0
+        regs[np.arange(k)[:, None], group.table, np.arange(k)] = 1.0
         coeffs = rng.normal(size=k)
         _, vecs = np.linalg.eig(np.einsum("g,gij->ij", coeffs, regs))
         chars = []
@@ -414,8 +412,7 @@ def _wreath_reps(labels: GroupTable, k: int, keys: list,
     """The induced representations of labels wr S_k at the (perm, labels)
     `keys`, filled from their values at the generators."""
     evaluators = wreath_rep_evaluators(labels, k, cap)
-    h = range(len(labels))
-    table = tuple(tuple(labels.mul(a, b) for b in h) for a in h)
+    table = tuple(map(tuple, labels.table.tolist()))
     walk = _wreath_walk(k, table, labels.identity)
     rows = [walk.position[key] for key in keys]
     return [Irrep(label, dim, _fill(walk, rows, [ev(g) for g in walk.gens], dim))

@@ -2,15 +2,18 @@
 
 A GroupTable indexes its elements 0..|G|-1 in a fixed canonical order and
 multiplies lazily through a key-level product function, so large groups
-(e.g. S_6) do not pay for a full |G| x |G| table up front.  The identity
-and the inverses take about 3|G| + sum of element orders products: a few
-per element, never a search over pairs.
+(e.g. S_6) do not pay for a full |G| x |G| table up front.  A bare table
+finds its identity and inverses in about 3|G| + sum of element orders
+products, never a search over pairs; a maximal subgroup is given them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, SizeCapError, StructureError
 
@@ -19,7 +22,8 @@ DEFAULT_SIZE_CAP = 5_000_000
 
 class GroupTable:
     def __init__(self, keys: Sequence[Hashable], mul_key: Callable,
-                 name: str = ""):
+                 name: str = "", identity: int | None = None,
+                 inverse: Sequence[int] | None = None):
         if not keys:
             raise StructureError("a group has at least one element")
         self.keys = list(keys)
@@ -28,8 +32,9 @@ class GroupTable:
         if len(self._index) != len(self.keys):
             raise StructureError("duplicate group elements")
         self._mul_key = mul_key
-        self.identity = self._find_identity()
-        self.inverse = [self._find_inverse(i) for i in range(len(self.keys))]
+        self.identity = self._find_identity() if identity is None else identity
+        self.inverse = ([self._find_inverse(i) for i in range(len(self.keys))]
+                        if inverse is None else list(inverse))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -39,6 +44,12 @@ class GroupTable:
 
     def inv(self, i: int) -> int:
         return self.inverse[i]
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """The product table, table[i, j] = i j: |G|^2 products, once."""
+        every = range(len(self.keys))
+        return np.array([[self.mul(i, j) for j in every] for i in every])
 
     def _find_identity(self) -> int:
         """A group's only idempotent: the first x with x x = x, accepted
@@ -78,23 +89,16 @@ class GroupTable:
 
     def validate(self) -> None:
         """Exhaustive group-axiom check; intended for tests and small groups."""
-        n = len(self)
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul(a, b)
-                for c in range(n):
-                    if self.mul(ab, c) != self.mul(a, self.mul(b, c)):
-                        raise StructureError("associativity fails")
-        for a in range(n):
-            if self.mul(self.identity, a) != a:
-                raise StructureError("identity fails")
-            if self.mul(a, self.inverse[a]) != self.identity:
-                raise StructureError("inverse fails")
+        t, every = self.table, np.arange(len(self))
+        if any((t[t[a]] != t[a][t]).any() for a in every):
+            raise StructureError("associativity fails")
+        if (t[self.identity] != every).any():
+            raise StructureError("identity fails")
+        if (t[every, self.inverse] != self.identity).any():
+            raise StructureError("inverse fails")
 
     def is_abelian(self) -> bool:
-        n = len(self)
-        return all(self.mul(a, b) == self.mul(b, a)
-                   for a in range(n) for b in range(a + 1, n))
+        return bool((self.table == self.table.T).all())
 
 
 def cyclic_group(k: int) -> GroupTable:

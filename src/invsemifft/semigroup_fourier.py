@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elements import decode, encode
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, StructureError
 from .fast_transforms import OpCounter, fast_mobius, fast_zeta
 from .group_harmonics import (GroupRepSet, GroupSpectrum, cyclic_ft_fast,
                               cyclic_ift_fast, group_ft, group_ift,
@@ -433,10 +433,8 @@ def convolve_naive(f: FunctionOnS, g: FunctionOnS) -> FunctionOnS:
         raise ContractError("convolution expects the semigroup basis")
     out = np.zeros(len(S), dtype=complex)
     fs = np.flatnonzero(f.values)
-    gs = np.flatnonzero(g.values)
-    for i in fs:
-        for j in gs:
-            out[S.mul(i, j)] += f.values[i] * g.values[j]
+    for j in np.flatnonzero(g.values):
+        np.add.at(out, S.mul(fs, j), f.values[fs] * g.values[j])
     return FunctionOnS(S, SEMIGROUP, out)
 
 
@@ -494,13 +492,17 @@ def _numbers(x, count: int) -> bool:
 def function_from_json(S: SemigroupStructure, data: dict) -> FunctionOnS:
     data = _check_semigroup(S, data, "function")
     basis = data.get("basis", SEMIGROUP)
-    vals = np.zeros(len(S), dtype=complex)
-    for key, pair in _json_object(data.get("values", {}),
-                                  "function file's values").items():
+    values = _json_object(data.get("values", {}), "function file's values")
+    for key, pair in values.items():
         if not _numbers(pair, 2):
             raise ContractError(f"value of {key!r} is not a [re, im] pair "
                                 "of numbers")
-        vals[S.id_of(decode(key, S.n))] = complex(*pair)
+    ids = S.ids_of([decode(key, S.n) for key in values])
+    if (ids < 0).any():
+        key = list(values)[np.flatnonzero(ids < 0)[0]]
+        raise StructureError(f"element {key!r} is not in the semigroup")
+    vals = np.zeros(len(S), dtype=complex)
+    vals[ids] = [complex(*pair) for pair in values.values()]
     if not np.isfinite(vals).all():
         raise ContractError("function file holds a non-finite value")
     return FunctionOnS(S, basis, vals)

@@ -1,32 +1,32 @@
 """Structural analysis of a finite inverse semigroup of partial maps.
 
-A semigroup enters SemigroupStructure as its image table: images[s, x]
-= s(x) and labels[s, x] its label, both 0 where s(x) is undefined, and
+A semigroup enters SemigroupStructure as its image table: images[s, x] =
+s(x) and labels[s, x] its label, both 0 where s(x) is undefined, and
 column 0 all 0 (from_elements builds the tables from PartialMapElements).
-The rows are checked, then sorted by rank and by their (i, s(i), label)
-pairs.  Every part of the decomposition is read off the tables, so any
-inverse semigroup of partial maps is analysed the same way: idempotents,
-dom / ran ids and Green's D-classes; the connector of idempotent e, the
-first element in S's order from the class representative onto e; each
-maximal subgroup as a table of labeled permutations of dom(e_k); the
-groupoid coordinates; and the sweep steps along the closures of
-idempotent domains, whose restrictions are masked rows (see
-_sweep_steps).  Set-up composes no elements and builds none: `elements`
-is a view decoded from the rows on demand, for the oracles and the JSON
-boundary.  This module also hosts the quadratic zeta/Mobius reference
-transforms used as oracles everywhere.
+The rows are checked, sorted by rank and by their (i, s(i), label) pairs,
+and indexed once by their bytes: every element lookup is one searchsorted
+on that row index.  Every part of the decomposition is read off the
+tables, so any inverse semigroup of partial maps is analysed the same
+way: idempotents, dom / ran ids, inverses (a set not closed under them is
+rejected) and Green's D-classes; the connector of idempotent e, the first
+element in S's order from the class representative onto e; each maximal
+subgroup as a table of labeled permutations of dom(e_k), given its
+identity e_k and the semigroup's inverses; the groupoid coordinates; and
+the sweep steps along the closures of idempotent domains, whose
+restrictions are masked rows (see _sweep_steps).  Set-up calls no compose
+and builds no elements: `elements` is a view decoded from the rows on
+demand, for the oracles and the JSON boundary.  This module also hosts
+the quadratic zeta/Mobius reference transforms used as oracles.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .elements import (PartialMapElement, compose, encode, inverse_of,
-                       natural_leq)
+from .elements import PartialMapElement, encode, natural_leq
 from .errors import ContractError, DomainError, StructureError
 from .groups import GroupTable, wreath_mul_key
 
@@ -59,9 +59,13 @@ class SemigroupStructure:
         self.images, self.labels = _sorted_tables(
             n, 1 if label_group is None else len(label_group),
             np.asarray(images), np.asarray(labels))
-        self._inv: list[int] | None = None
-        self._downsets: list[list[int]] | None = None
-        self._upsets: list[list[int]] | None = None
+        # label_product[a, b] = a b in the label group
+        self.label_product = (np.zeros((1, 1), dtype=np.intp)
+                              if label_group is None else label_group.table)
+        # the row index: each row's image and label bytes, and their order
+        rows = np.concatenate([self.images, self.labels], 1)
+        self.row_bytes = rows.view(f"V{rows.strides[0]}").ravel()
+        self.row_order = np.argsort(self.row_bytes)
         self._mobius_memo: dict[tuple[int, int], int] = {}
         self._analyze()
         # sweep_steps[i-1]: the (sources, targets) of step i, sorted by (s, t).
@@ -76,43 +80,66 @@ class SemigroupStructure:
         """The structure of a closed set of user-built elements."""
         if any(e.ambient_size != n for e in elements):
             raise StructureError(f"every element must act on {{1..{n}}}")
-        flat = [(r, *p) for r, e in enumerate(elements) for p in e.pairs]
-        r, i, j, g = np.array(flat, dtype=np.intp).reshape(-1, 4).T
-        images = np.zeros((len(elements), n + 1), dtype=np.intp)
-        labels = np.zeros_like(images)
-        images[r, i], labels[r, i] = j, g
-        return cls(family, n, images, labels, label_group)
-
-    # -- elements, decoded from the rows on demand -------------------------
+        return cls(family, n, *_tables_of(n, elements), label_group)
 
     @functools.cached_property
     def elements(self) -> list[PartialMapElement]:
+        """The elements, decoded from the rows on demand."""
         return _maps(self.n, self.images, self.labels)
 
-    @functools.cached_property
-    def _id_of(self) -> dict[PartialMapElement, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    # -- basic arithmetic on canonical ids ---------------------------------
+    # -- arithmetic on ids, read off the row index ---------------------------
 
     def __len__(self) -> int:
         return len(self.images)
 
+    def _find_maps(self, img: np.ndarray, lab: np.ndarray,
+                   missing: str | None = None) -> np.ndarray:
+        """The id of the element with each image row and label row, or -1;
+        given `missing`, a StructureError naming the first row not found."""
+        key = np.concatenate([img, lab], 1).astype(self.images.dtype).view(
+            self.row_bytes.dtype).ravel()
+        at = np.searchsorted(self.row_bytes, key, sorter=self.row_order)
+        ids = self.row_order[np.minimum(at, len(self) - 1)]
+        ids = np.where(self.row_bytes[ids] == key, ids, -1)
+        if missing is not None and (ids < 0).any():
+            at = np.flatnonzero(ids < 0)[:1]
+            raise StructureError(missing.format(
+                encode(_maps(self.n, img[at], lab[at])[0])))
+        return ids
+
+    def _product(self, a: np.ndarray, b: np.ndarray, missing: str) -> np.ndarray:
+        """The ids of s_a s_b: x goes to s_a(s_b(x)), with s_a's label at
+        s_b(x) times s_b's at x, one gather of rows and one lookup."""
+        img = np.take_along_axis(self.images[a], self.images[b], 1)
+        lab = self.label_product[np.take_along_axis(
+            self.labels[a], self.images[b], 1), self.labels[b]]
+        return self._find_maps(img, lab * (img > 0), missing)
+
+    def ids_of(self, elements: Sequence[PartialMapElement]) -> np.ndarray:
+        """The id of each element, or -1 for one that is not in S."""
+        labels = set(range(len(self.label_product)))
+        inside = np.array([e.ambient_size == self.n and {p[2] for p in e.pairs}
+                           <= labels for e in elements], dtype=bool)
+        ids = np.full(len(elements), -1)
+        ids[inside] = self._find_maps(*_tables_of(
+            self.n, [e for e, i in zip(elements, inside) if i]))
+        return ids
+
     def id_of(self, e: PartialMapElement) -> int:
-        try:
-            return self._id_of[e]
-        except KeyError:
-            raise StructureError(f"element {e!r} is not in the semigroup") from None
+        [found] = self.ids_of([e]).tolist()
+        if found < 0:
+            raise StructureError(f"element {e!r} is not in the semigroup")
+        return found
 
-    def mul(self, i: int, j: int) -> int:
-        return self.id_of(compose(self.elements[i], self.elements[j],
-                                  self.label_group))
+    def mul(self, i, j):
+        """The id of s_i s_j (s_i after s_j), elementwise over arrays of ids."""
+        i, j = np.broadcast_arrays(i, j)
+        return self._product(i.ravel(), j.ravel(), "the product {} is not in "
+                             "the semigroup").reshape(i.shape)[()]
 
-    def inv(self, i: int) -> int:
-        if self._inv is None:
-            self._inv = [self.id_of(inverse_of(e, self.label_group))
-                         for e in self.elements]
-        return self._inv[i]
+    def inv(self, i):
+        """The id of s_i^-1, elementwise over arrays of ids."""
+        return self.inverse[i]
 
     def leq(self, t: int, s: int) -> bool:
         return natural_leq(self.elements[t], self.elements[s])
@@ -122,99 +149,68 @@ class SemigroupStructure:
     def _analyze(self) -> None:
         n_el, n = len(self), self.n
         entry = self.images.dtype
-        h = 1 if self.label_group is None else len(self.label_group)
+        lg = self.label_group
         rows, cols = np.nonzero(self.images)   # the pairs: s maps cols to dst
         dst = self.images[rows, cols]
         # s s = s for an injective labeled map iff s fixes its domain with
         # idempotent, hence identity, labels: a partial identity.
         defined = self.images > 0
-        fixed = self.images == np.arange(n + 1, dtype=entry) * defined
-        idems = np.flatnonzero(fixed.all(1) & ~self.labels.any(1))
+        points = np.arange(n + 1, dtype=entry)
+        idems = np.flatnonzero((self.images == points * defined).all(1)
+                               & ~self.labels.any(1))
         self.idempotents = idems.tolist()
-        # dom_id[i] = i^-1 i and ran_id[i] = i i^-1: the idempotents whose
-        # point sets are i's domain and range.
-        ran = np.zeros_like(defined)
-        ran[rows, dst] = True
-        found = _find_rows(np.packbits(defined[idems], axis=1),
-                           np.packbits(np.concatenate([defined, ran]), axis=1))
-        if (found < 0).any():
-            at = [np.flatnonzero(found < 0)[0] % n_el]
-            el = _maps(n, self.images[at], self.labels[at])[0]
-            raise StructureError(f"no idempotent on the domain or range of {el!r}")
-        dom_id, ran_id = idems[found[:n_el]], idems[found[n_el:]]
+        # the rows of each s^-1: s's pairs swapped, its labels inverted
+        inv_img = np.zeros_like(self.images)
+        inv_img[rows, dst] = cols
+        inv_lab = np.zeros_like(self.labels)
+        inv_lab[rows, dst] = np.asarray([0] if lg is None else lg.inverse,
+                                        dtype=entry)[self.labels[rows, cols]]
+        # dom_id[i] = i^-1 i and ran_id[i] = i i^-1: the partial identities
+        # on i's domain and range.
+        on = np.concatenate([defined, inv_img > 0])
+        found = self._find_maps(points * on, np.zeros_like(on, dtype=entry),
+                                "no idempotent {} on a domain or range")
+        dom_id, ran_id = found[:n_el], found[n_el:]
         self.dom_id, self.ran_id = dom_id.tolist(), ran_id.tolist()
+        self.inverse = self._find_maps(inv_img, inv_lab, "the elements are "
+                                       "not closed under inverses: {} is missing")
 
         # D-classes: idempotents e, f are D-related iff some s has dom(s)=e,
-        # ran(s)=f; every s links its own dom and ran idempotents.
-        parent = {e: e for e in self.idempotents}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        # The connector p_e of idempotent e is the first element of S from
-        # the class representative e_k onto e; p_{e_k} = e_k, the identity
-        # on dom(e_k) being the least map from dom(e_k) onto itself.
-        codes, first = np.unique(dom_id * n_el + ran_id, return_index=True)
-        first_from_to = dict(zip(codes.tolist(), first.tolist()))
-        for code in codes.tolist():
-            a, b = find(code // n_el), find(code % n_el)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-
-        groups: dict[int, list[int]] = {}
-        for e in self.idempotents:
-            groups.setdefault(find(e), []).append(e)
-        roots = sorted(groups, key=lambda r: min(groups[r]))
-        classes = []
+        # ran(s)=f.  In an inverse semigroup the least f that any s maps e
+        # onto is the least of e's class, its representative e_k (an s
+        # between two such classes means S is not closed under products);
+        # the connector p_e, the first element of S from e_k onto e, exists
+        # since S holds each s^-1.  p_{e_k} = e_k: the least such map.
+        least = np.full(n_el, n_el)
+        np.minimum.at(least, dom_id, ran_id)
+        if (least[dom_id] != least[ran_id]).any():
+            raise StructureError("the elements are not closed under products")
         class_of_idem = np.zeros(n_el, dtype=np.intp)
+        class_of_idem[idems] = np.unique(least[idems], return_inverse=True)[1]
+        classes = np.split(idems[np.argsort(class_of_idem[idems], kind="stable")],
+                           np.cumsum(np.bincount(class_of_idem[idems])))[:-1]
         pos_of_idem = np.zeros(n_el, dtype=np.intp)
-        connector = np.zeros(n_el, dtype=np.intp)
-        for k, root in enumerate(roots):
-            idems_k = sorted(groups[root])
-            e_k = idems_k[0]
-            connectors = {e: first_from_to.get(e_k * n_el + e) for e in idems_k}
-            if None in connectors.values():
-                raise StructureError(f"no element maps idempotent {e_k} onto "
-                                     f"every idempotent of its D-class")
-            classes.append((idems_k, connectors))
-            class_of_idem[idems_k] = k
+        for idems_k in classes:
             pos_of_idem[idems_k] = range(len(idems_k))
-            connector[idems_k] = list(connectors.values())
+        codes, first = np.unique(dom_id * n_el + ran_id, return_index=True)
+        connector = np.zeros(n_el, dtype=np.intp)
+        connector[idems] = first[np.searchsorted(codes, least[idems] * n_el + idems)]
 
         # Groupoid coordinates: s in D_k corresponds to the subgroup element
         # y = p_ran(s)^-1 s p_dom(s) at grid position (ran(s), dom(s)),
-        # found among the elements by its image and label rows.
-        inv_img = np.zeros_like(self.images)          # rows of s^-1
-        inv_img[rows, dst] = cols
-        p_dom, p_ran = connector[dom_id], connector[ran_id]
-        p_img = self.images[p_dom]
-        mid = np.take_along_axis(self.images, p_img, 1)        # s(p_dom(x))
-        y_img = np.take_along_axis(inv_img[p_ran], mid, 1)
-        y_lab = np.zeros_like(y_img)
-        lg = self.label_group
-        if lg is not None:
-            table = np.array([[lg.mul(a, b) for b in range(h)]
-                              for a in range(h)], dtype=entry)
-            inv_lab = np.zeros_like(self.labels)      # labels of s^-1
-            inv_lab[rows, dst] = np.asarray(lg.inverse)[self.labels[rows, cols]]
-            y_lab = table[table[np.take_along_axis(inv_lab[p_ran], mid, 1),
-                                np.take_along_axis(self.labels, p_img, 1)],
-                          self.labels[p_dom]] * (y_img > 0)
-        y_id = self._find_maps(y_img, y_lab)
-        if (y_id < 0).any():
-            raise StructureError("the elements are not closed under products")
+        # two products on the rows.
+        closed = "the elements are not closed under products: {} is missing"
+        y_id = self._product(self.inverse[connector[ran_id]], self._product(
+            np.arange(n_el), connector[dom_id], closed), closed)
 
         class_of = class_of_idem[ran_id]
         members = np.split(np.argsort(class_of, kind="stable"),
-                           np.cumsum(np.bincount(class_of,
-                                                 minlength=len(roots)))[:-1])
+                           np.cumsum(np.bincount(class_of))[:-1])
         a_pos, b_pos = pos_of_idem[ran_id], pos_of_idem[dom_id]
         # The maximal subgroup of D_k: its elements from e_k onto e_k, keyed
         # by (perm, labels), their action on sorted dom(e_k) in positions
-        # 1..k, gathered for every class at once.
+        # 1..k, gathered for every class at once.  Its identity is e_k and
+        # its inverses are the semigroup's, so the table needs no product.
         corner = [ids[(a_pos[ids] == 0) & (b_pos[ids] == 0)] for ids in members]
         sub = np.concatenate(corner)
         img = self.images[sub]
@@ -228,14 +224,16 @@ class SemigroupStructure:
         local = np.zeros(n_el, dtype=np.intp)
         self.d_classes: list[DClassStructure] = []
         start = 0
-        for k, ((idems_k, connectors), ids, sub_ids) in enumerate(
-                zip(classes, members, corner)):
+        for k, (idems_k, ids, sub_ids) in enumerate(zip(classes, members, corner)):
             local[sub_ids] = range(len(sub_ids))
             subgroup = GroupTable(keys[start:start + len(sub_ids)], key_mul,
-                                  name=f"G[{self.family},{k}]")
+                                  name=f"G[{self.family},{k}]",
+                                  identity=local[idems_k[0]].item(),
+                                  inverse=local[self.inverse[sub_ids]].tolist())
             start += len(sub_ids)
-            dc = DClassStructure(k, ids.tolist(), idems_k, idems_k[0],
-                                 connectors, subgroup)
+            idems_k = idems_k.tolist()
+            dc = DClassStructure(k, ids.tolist(), idems_k, idems_k[0], dict(
+                zip(idems_k, connector[idems_k].tolist())), subgroup)
             dc.idem_pos = {e: p for p, e in enumerate(idems_k)}
             dc.local_of = {g: p for p, g in enumerate(sub_ids.tolist())}
             dc.coord_ids = np.zeros((len(idems_k), len(idems_k), len(subgroup)),
@@ -246,11 +244,6 @@ class SemigroupStructure:
         self.element_coords: list[tuple[int, int, int, int]] = list(zip(
             self.class_of, a_pos.tolist(), b_pos.tolist(),
             local[y_id].tolist()))
-
-    def _find_maps(self, img: np.ndarray, lab: np.ndarray) -> np.ndarray:
-        """The id of the element with each image row and label row, or -1."""
-        return _find_rows(np.concatenate([self.images, self.labels], 1),
-                          np.concatenate([img, lab], 1))
 
     def _sweep_steps(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The extension sweep's steps: step i holds every s < t in S with
@@ -276,18 +269,15 @@ class SemigroupStructure:
                          + np.arange(size.sum())]
         within = np.repeat(d, size)
         sources = np.empty_like(targets)
-        # a lookup sorts the whole table with its rows; |S| rows at a time
-        # keep the peak memory near that of the table
+        # the masked rows of |S| targets at a time keep the peak memory
+        # near that of the table
         chunk = max(1, len(self))
         for lo in range(0, len(targets), chunk):
             t, keep = targets[lo:lo + chunk], dom[within[lo:lo + chunk]]
             img, lab = self.images[t] * keep, self.labels[t] * keep
-            sources[lo:lo + chunk] = found = self._find_maps(img, lab)
-            if (found < 0).any():
-                at = [np.flatnonzero(found < 0)[0]]
-                missing = encode(_maps(self.n, img[at], lab[at])[0])
-                raise StructureError(f"the elements are not closed under "
-                                     f"restriction: {missing} is missing")
+            sources[lo:lo + chunk] = self._find_maps(
+                img, lab, "the elements are not closed under restriction: "
+                "{} is missing")
         step = np.repeat(point, size)
         order = np.lexsort((targets, sources, step))
         sources, targets = sources[order], targets[order]
@@ -299,28 +289,32 @@ class SemigroupStructure:
 
     def downsets(self) -> list[list[int]]:
         """For each s, the sorted ids of all t <= s (restrictions of s)."""
-        if self._downsets is None:
-            down = []
-            for e in self.elements:
-                ids = []
-                for r in range(e.rank + 1):
-                    for sub in itertools.combinations(e.pairs, r):
-                        t = self._id_of.get(PartialMapElement(e.ambient_size, sub))
-                        if t is not None:
-                            ids.append(t)
-                down.append(sorted(ids))
-            self._downsets = down
-        return self._downsets
+        return self._order[0]
 
     def upsets(self) -> list[list[int]]:
         """For each s, the sorted ids of all t >= s."""
-        if self._upsets is None:
-            up: list[list[int]] = [[] for _ in self.elements]
-            for s, down in enumerate(self.downsets()):
-                for t in down:
-                    up[t].append(s)
-            self._upsets = [sorted(u) for u in up]
-        return self._upsets
+        return self._order[1]
+
+    @functools.cached_property
+    def _order(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(downsets, upsets): the t <= s are s's rows, masked, looked up."""
+        on = self.images > 0
+        rank, place = on.sum(1), np.cumsum(on, 1) - on
+        below, above = [], []
+        for r in range(rank.max(initial=0) + 1):
+            # row q: s = of_rank[q >> r] masked by u = q mod 2^r, bit j of u
+            # keeping the j-th point of dom s; 2^16 rows at a time
+            of_rank = np.flatnonzero(rank == r)
+            for lo in range(0, max(1, len(of_rank) << r), 1 << 16):
+                q = np.arange(lo, min(lo + (1 << 16), len(of_rank) << r))
+                s, u = of_rank[q >> r], q[:, None] & (1 << r) - 1
+                keep = on[s] & (u >> place[s] & 1 > 0)
+                above.append(s)
+                below.append(self._find_maps(self.images[s] * keep,
+                                             self.labels[s] * keep))
+        t, s = np.concatenate(below), np.concatenate(above)
+        t, s = t[t >= 0], s[t >= 0]
+        return _runs(s, t, len(self)), _runs(t, s, len(self))
 
     def mobius(self, s: int, t: int) -> int:
         """Mobius function of the natural partial order on the interval [s, t]."""
@@ -375,6 +369,25 @@ def _sorted_tables(n: int, h: int, images: np.ndarray, labels: np.ndarray
     return images[order].astype(entry), labels[order].astype(entry)
 
 
+def _tables_of(n: int, elements: Sequence[PartialMapElement]
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The image and label rows of elements acting on {1..n}."""
+    i, j, g = np.array([x for e in elements for p in e.pairs for x in p],
+                       dtype=np.intp).reshape(-1, 3).T
+    r = np.repeat(np.arange(len(elements)), [e.rank for e in elements])
+    images = np.zeros((len(elements), n + 1), dtype=np.intp)
+    labels = np.zeros_like(images)
+    images[r, i], labels[r, i] = j, g
+    return images, labels
+
+
+def _runs(key: np.ndarray, value: np.ndarray, m: int) -> list[list[int]]:
+    """For each k < m, the sorted values paired with key k."""
+    value = value[np.lexsort((value, key))].tolist()
+    ends = np.cumsum(np.bincount(key, minlength=m)).tolist()
+    return [value[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
 def _maps(n: int, images: np.ndarray, labels: np.ndarray
           ) -> list[PartialMapElement]:
     """The elements with these image and label rows."""
@@ -423,17 +436,6 @@ def _closure_steps(dom: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return tuple(np.concatenate(a) for a in zip(*out))
 
 
-def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each row of `rows`, the index of the equal row of `table`,
-    whose rows are distinct, or -1 where there is none."""
-    both = np.ascontiguousarray(np.concatenate([table, rows]))
-    cls = np.unique(both.view(np.dtype((np.void, both.itemsize * both.shape[1]))),
-                    return_inverse=True)[1].ravel()
-    at = np.full(len(table) + len(rows), -1)
-    at[cls[:len(table)]] = np.arange(len(table))
-    return at[cls[len(table):]]
-
-
 # -- functions on S and the quadratic reference transforms -----------------
 
 SEMIGROUP = "semigroup"
@@ -452,9 +454,6 @@ class FunctionOnS:
             raise ContractError("value vector length must equal |S|")
         if self.basis not in (SEMIGROUP, GROUPOID):
             raise ContractError(f"unknown basis {self.basis!r}")
-
-    def copy(self) -> "FunctionOnS":
-        return FunctionOnS(self.structure, self.basis, self.values.copy())
 
 
 def zeta_naive(f: FunctionOnS) -> FunctionOnS:

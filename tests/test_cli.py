@@ -179,6 +179,23 @@ def test_non_finite_function_rejected(tmp_path, edit):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family,key", [("planar_rook", "1>2;2>1"),
+                                        ("rook", "1>1:1"), ("rook", "1>1:-1"),
+                                        ("rook", "1>1:256"),
+                                        ("rook", "1>1:99999999999999999999")])
+def test_function_key_outside_the_semigroup(tmp_path, capsys, family, key):
+    """A key that decodes to a map outside S exits 2 and names the key."""
+    S = make_structure(family, 2)
+    data = function_to_json(random_function(S, np.random.default_rng(7)))
+    data["values"][key] = [1.0, 0.0]
+    src, out = tmp_path / "f.json", tmp_path / "spec.json"
+    src.write_text(json.dumps(data))
+    assert main(["fft", "--family", family, "--n", "2", "--in", str(src),
+                 "--out", str(out)]) == EXIT_PARSE
+    assert f"element {key!r} is not in the semigroup" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit", ["nan", "inf", "rows", "cols", "string",
                                   "block_list", "document_list"])
 def test_bad_spectrum_rejected(tmp_path, edit):

@@ -5,11 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from invsemifft import structure
 from invsemifft.elements import (PartialMapElement, compose, empty_map,
                                  inverse_of, partial_identity)
 from invsemifft.errors import ContractError, DomainError, StructureError
-from invsemifft.groups import cyclic_group, symmetric_group
+from invsemifft.groups import GroupTable, cyclic_group, symmetric_group
 from invsemifft.structure import (GROUPOID, SEMIGROUP, FunctionOnS,
                                   SemigroupStructure, mobius_naive, zeta_naive)
 
@@ -32,6 +31,31 @@ def test_closure_and_inverses(family, n, label):
     for i in range(0, len(S), step):
         for j in range(0, len(S), step):
             S.mul(i, j)  # raises if the product escapes the family
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_array_product_equals_compose(family, n, label):
+    """S.mul and S.inv, read off the row index, equal the Python compose
+    and inverse_of on every pair, and S.mul(ids, j) the scalar loop."""
+    S = make_structure(family, n, label)
+    lg, els, ids = S.label_group, S.elements, np.arange(len(S))
+    for j in ids:
+        scalar = [S.mul(i, j) for i in ids]
+        assert scalar == [S.id_of(compose(el, els[j], lg)) for el in els]
+        assert S.mul(ids, j).tolist() == scalar
+        assert S.inv(j) == S.id_of(inverse_of(els[j], lg))
+
+
+def test_missing_product_raises():
+    """{0, id on {1,2}, id on {2,3}} builds, but the product of its two
+    rank-2 identities, the identity on {2}, is not an element."""
+    S = SemigroupStructure.from_elements(
+        "custom", 3, [empty_map(3), partial_identity(3, [1, 2]),
+                      partial_identity(3, [2, 3])])
+    with pytest.raises(StructureError, match="product 2>2 is not in"):
+        S.mul(1, 2)
+    with pytest.raises(StructureError):
+        S.mul([0, 1], 2)
 
 
 @pytest.mark.parametrize("family,n,label", CORPUS)
@@ -107,6 +131,15 @@ def test_domain_without_idempotent_rejected():
             "custom", 2, [empty_map(2), PartialMapElement(2, ((1, 2, 0),))])
 
 
+def test_missing_inverse_rejected():
+    """1 -> 2 with both partial identities but without 2 -> 1: the
+    inverse lookup names the missing map."""
+    elements = [empty_map(2), partial_identity(2, [1]),
+                partial_identity(2, [2]), PartialMapElement(2, ((1, 2, 0),))]
+    with pytest.raises(StructureError, match="inverses: 2>1 is missing"):
+        SemigroupStructure.from_elements("custom", 2, elements)
+
+
 def coordinates_by_products(S):
     """dom_id, ran_id and element_coords computed with compose: s^-1 s,
     s s^-1 and y = p_ran^-1 s p_dom, looked up by id."""
@@ -137,14 +170,16 @@ def test_coordinates_equal_products():
 
 
 def rebuild_without_composing(S, monkeypatch):
-    """Build S again with compose, inverse_of and S.mul patched to fail,
-    and check the coordinates against the normal build."""
+    """Build S again with compose, inverse_of, S.mul and the subgroup key
+    product GroupTable.mul patched to fail, and check the coordinates
+    against the normal build."""
     def fail(*args):
         raise AssertionError("set-up composed elements")
 
-    monkeypatch.setattr(structure, "compose", fail)
-    monkeypatch.setattr(structure, "inverse_of", fail)
+    monkeypatch.setattr("invsemifft.elements.compose", fail)
+    monkeypatch.setattr("invsemifft.elements.inverse_of", fail)
     monkeypatch.setattr(SemigroupStructure, "mul", fail)
+    monkeypatch.setattr(GroupTable, "mul", fail)
     fresh = SemigroupStructure.from_elements(S.family, S.n, S.elements,
                                              S.label_group)
     assert fresh.element_coords == S.element_coords
@@ -155,7 +190,7 @@ def rebuild_without_composing(S, monkeypatch):
 def test_no_compose_outside_the_subgroup_tables(family, n, label, monkeypatch):
     """Set-up reads everything off the image table, the maximal subgroup
     tables included: building a structure calls no compose, inverse_of
-    or S.mul, inside the subgroup tables or outside them."""
+    or S.mul, and no key product for a subgroup's identity or inverses."""
     rebuild_without_composing(make_structure(family, n, label), monkeypatch)
 
 
