@@ -11,7 +11,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class JobConfig:
     threads: int = 1
     tol: float = 1e-9
     cap: int = DEFAULT_SIZE_CAP
-    extra: dict = field(default_factory=dict)
+    max_n: int | None = None
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -115,7 +115,7 @@ def parse_args(argv: list[str]) -> JobConfig:
         threads=getattr(ns, "threads", 1),
         tol=getattr(ns, "tol", 1e-9),
         cap=getattr(ns, "cap", DEFAULT_SIZE_CAP),
-        extra={"max_n": getattr(ns, "max_n", None)})
+        max_n=getattr(ns, "max_n", None))
 
 
 def _family_spec(cfg: JobConfig) -> FamilySpec:
@@ -269,7 +269,7 @@ def cmd_verify(cfg: JobConfig) -> int:
 
 
 def cmd_bench(cfg: JobConfig) -> int:
-    max_n = cfg.extra.get("max_n") or cfg.n
+    max_n = cfg.max_n or cfg.n
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for n in range(1, max_n + 1):

@@ -132,9 +132,6 @@ def _tables(spec: FamilySpec) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(images), np.concatenate(labels)
 
 
-_BUILD_CACHE: dict[tuple, SemigroupStructure] = {}
-
-
 def build(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> SemigroupStructure:
     """Enumerate the family and run the full structural analysis."""
     predicted = predicted_size(spec)
@@ -144,15 +141,9 @@ def build(spec: FamilySpec, cap: int = DEFAULT_SIZE_CAP) -> SemigroupStructure:
                 else f"at least 2^{predicted.bit_length() - 1}")
         raise SizeCapError(
             f"{spec.family} n={spec.n} has {size} elements, over cap {cap}")
-    lg = spec.label_group
-    key = (spec.family, spec.n, None if lg is None else lg.table.tobytes())
-    hit = _BUILD_CACHE.get(key)
-    if hit is not None:
-        return hit
     images, labels = _tables(spec)
     if len(images) != predicted:
         raise StructureError(
             f"enumerated {len(images)} elements, expected {predicted}")
-    s = SemigroupStructure(spec.family, spec.n, images, labels, label_group=lg)
-    _BUILD_CACHE[key] = s
-    return s
+    return SemigroupStructure(spec.family, spec.n, images, labels,
+                              label_group=spec.label_group)

@@ -11,15 +11,17 @@ tensor with one batched product per (layer, generator), rho(g s) =
 rho(g) rho(s); no element's matrix is evaluated on its own.  Every
 transform takes a leading batch axis of
 functions.  The dense group transforms are one matrix product per
-representation over the whole batch.  The cyclic DFT is counted: each
-length runs on the dense character product or on radix-2 / Bluestein,
-whichever costs fewer operations per row, so every non-power-of-two
-length up to 47 takes the product.  fft / ifft make one such call per
-group order, over every cyclic class of that order.
+representation over the whole batch.  The cyclic DFT of length k is the
+dense character product x @ W at every length: k(k-1) additions and k^2
+multiplications per row, and the identity at k = 1.  Every built-in
+family has k <= n, so it costs at most n |S| of each, the order of the
+zeta stage.  A radix-2 FFT counts O(k log k) but is faster in wall time
+only from about k = 256, far past the largest built-in cyclic order.
+fft / ifft make one such call per group order, over every cyclic class
+of that order.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -246,6 +248,16 @@ def irreps_symmetric(k: int, cap: int = SYMMETRIC_CAP) -> GroupRepSet:
 
 # -- cyclic groups ---------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _character_matrix(k: int, sign: int) -> np.ndarray:
+    """W[t, j] = e^(sign 2 pi i j t / k), so a row's DFT is x @ W.
+    Cached read-only."""
+    t = np.arange(k)
+    w = np.exp(sign * 2j * np.pi * (np.outer(t, t) % k) / k)
+    w.flags.writeable = False
+    return w
+
+
 def irreps_cyclic(k: int) -> GroupRepSet:
     return cyclic_repset_for(cyclic_group(k))
 
@@ -264,13 +276,11 @@ def cyclic_repset_for(group: GroupTable, gen: int | None = None) -> GroupRepSet:
     gen = group.generator_if_cyclic() if gen is None else gen
     if gen is None or group.element_order(gen) != len(group):
         raise CapabilityError("group is not cyclic on that generator")
-    k = len(group)
     exps = _exponents(group, gen)
-    reps = []
-    for j in range(k):
-        mats = np.array([[[cmath.exp(2j * cmath.pi * j * exps[i] / k)]]
-                         for i in range(k)])
-        reps.append(Irrep(f"chi_{j}", 1, mats))
+    # W is symmetric: row j of W[:, exps] is character j at each element
+    chars = _character_matrix(len(group), +1)[:, exps]
+    reps = [Irrep(f"chi_{j}", 1, ch[:, None, None])
+            for j, ch in enumerate(chars)]
     return GroupRepSet(group, reps, cyclic_exponents=exps)
 
 
@@ -283,9 +293,7 @@ def abelian_characters(group: GroupTable) -> list[np.ndarray]:
     gen = group.generator_if_cyclic()
     k = len(group)
     if gen is not None:
-        exps = _exponents(group, gen)
-        chars = [np.array([cmath.exp(2j * cmath.pi * j * exps[i] / k)
-                           for i in range(k)]) for j in range(k)]
+        chars = list(_character_matrix(k, +1)[:, _exponents(group, gen)])
     else:
         # Simultaneously diagonalize the regular representation with a
         # fixed pseudo-random combination; eigenvectors give the characters.
@@ -536,120 +544,21 @@ def validate_repset(reps: GroupRepSet, tol: float = 1e-9,
 
 # -- fast cyclic transforms ------------------------------------------------
 #
-# Each transforms the last axis of a batch of rows.  A length-k DFT runs
-# on whichever counted algorithm costs fewer operations per row: the dense
-# character product, or radix-2 (k a power of two) / Bluestein (any other
-# k).  Counts are per row: a batch costs exactly what its rows cost one at
-# a time.  The constants of each (length, sign) are cached read-only.
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _pow2_cost(n: int) -> tuple[int, int]:
-    """(additions, multiplications) of one radix-2 DFT of length n."""
-    stages = n.bit_length() - 1
-    return stages * n, stages * (n // 2)
-
-
-def _bluestein_length(k: int) -> int:
-    """The power of two the length-k chirp convolution is padded to."""
-    return 1 << (2 * k - 2).bit_length()
-
-
-@lru_cache(maxsize=None)
-def _dft_algorithm(k: int) -> tuple[str, int, int]:
-    """The cheaper counted algorithm for length k, with its
-    (additions, multiplications) per row.  The dense product costs k^2
-    multiplications and k(k-1) additions; Bluestein three radix-2 DFTs
-    of the padded length m (the chirp filter's counted once per row)
-    plus 2k + 2m multiplications.  A tie goes to the dense product."""
-    if k & (k - 1) == 0:
-        fast = ("radix2", *_pow2_cost(k))
-    else:
-        m = _bluestein_length(k)
-        adds, mults = _pow2_cost(m)
-        fast = ("bluestein", 3 * adds, 3 * mults + 2 * k + 2 * m)
-    dense = ("dense", k * (k - 1), k * k)
-    return dense if sum(dense[1:]) <= sum(fast[1:]) else fast
-
-
-@lru_cache(maxsize=None)
-def _character_matrix(k: int, sign: int) -> np.ndarray:
-    """W[t, j] = e^(sign 2 pi i j t / k), so a row's DFT is x @ W."""
-    t = np.arange(k)
-    return _readonly(np.exp(sign * 2j * np.pi * (np.outer(t, t) % k) / k))
-
-
-@lru_cache(maxsize=None)
-def _radix2_plan(n: int, sign: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Bit-reversal permutation, and per stage m = 2, 4, ..., n its
-    (m/2, 1) twiddle column."""
-    rev = np.zeros(1, dtype=np.intp)
-    while len(rev) < n:
-        rev = np.concatenate([2 * rev, 2 * rev + 1])
-    twiddles = []
-    m = 2
-    while m <= n:
-        twiddles.append(_readonly(
-            np.exp(sign * 2j * np.pi * np.arange(m // 2) / m)[:, None]))
-        m <<= 1
-    return _readonly(rev), tuple(twiddles)
-
-
-def _fft_pow2(a: np.ndarray, sign: int) -> np.ndarray:
-    """Radix-2 DFT along axis 0 of an (n, rows) array, uncounted.  Each
-    butterfly stage is one array operation over the row axis."""
-    n, rows = a.shape
-    rev, twiddles = _radix2_plan(n, sign)
-    a = a[rev]
-    for tw in twiddles:
-        h = len(tw)
-        a = a.reshape(n // (2 * h), 2 * h, rows)
-        u, v = a[:, :h], a[:, h:] * tw
-        a = np.concatenate([u + v, u - v], axis=1)
-    return a.reshape(n, rows)
-
-
-@lru_cache(maxsize=None)
-def _bluestein_plan(k: int, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 1) chirp and the (m, 1) transformed chirp filter."""
-    m = _bluestein_length(k)
-    t = np.arange(k)
-    chirp = np.exp(sign * 1j * np.pi * (t * t % (2 * k)) / k)
-    b = np.zeros(m, dtype=complex)
-    b[:k] = chirp.conj()
-    b[m - k + 1:] = chirp[:0:-1].conj()
-    return (_readonly(chirp[:, None]),
-            _readonly(_fft_pow2(b[:, None], 1)))
-
-
-def _bluestein(a: np.ndarray, sign: int) -> np.ndarray:
-    """Length-k DFT along axis 0 of a (k, rows) array as a chirp
-    convolution of power-of-two length, uncounted."""
-    k, rows = a.shape
-    chirp, filt = _bluestein_plan(k, sign)
-    m = len(filt)
-    padded = np.zeros((m, rows), dtype=complex)
-    padded[:k] = a * chirp
-    conv = _fft_pow2(_fft_pow2(padded, 1) * filt, -1) / m
-    return chirp * conv[:k]
-
+# Each transforms the last axis of a batch of rows.  Counts are per row: a
+# batch costs exactly what its rows cost one at a time.
 
 def _dft_any(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
-    """Length-k DFT sum_t x_t e^(sign 2 pi i j t / k) of each row."""
+    """Length-k DFT sum_t x_t e^(sign 2 pi i j t / k) of each row: the
+    dense character product, k(k-1) additions and k^2 multiplications
+    per row; a length-1 DFT is the identity and costs nothing."""
     x = np.asarray(x, dtype=complex)
     k = x.shape[-1]
-    algorithm, adds, mults = _dft_algorithm(k)
+    if k == 1:
+        return x.copy()
     rows = x.size // k
-    counter.additions += rows * adds
-    counter.multiplications += rows * mults
-    if algorithm == "dense":
-        return x @ _character_matrix(k, sign)
-    a = x.reshape(rows, k).T
-    out = _fft_pow2(a, sign) if algorithm == "radix2" else _bluestein(a, sign)
-    return out.T.reshape(x.shape)
+    counter.additions += rows * k * (k - 1)
+    counter.multiplications += rows * k * k
+    return x @ _character_matrix(k, sign)
 
 
 def cyclic_ft_fast(values: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

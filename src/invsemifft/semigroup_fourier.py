@@ -470,14 +470,12 @@ def _json_object(data, what: str) -> dict:
 
 
 def _check_semigroup(S: SemigroupStructure, data, what: str) -> dict:
-    """data, once it is a JSON object naming S's family and n."""
+    """data, once it is a JSON object naming S's family and, as a JSON
+    integer (booleans excluded), its n."""
     data = _json_object(data, f"{what} file")
-    try:
-        same = (data.get("family") == S.family
-                and int(data.get("n", -1)) == S.n)
-    except (TypeError, ValueError):
-        same = False
-    if not same:
+    n = data.get("n")
+    if (data.get("family") != S.family or isinstance(n, bool)
+            or not isinstance(n, int) or n != S.n):
         raise ContractError(f"{what} file is for a different semigroup")
     return data
 

@@ -147,7 +147,9 @@ def test_unknown_label_group():
                  "--label-group", "Q8"]) == EXIT_PARSE
 
 
-# edit -> (what it replaces: one value, the values, the document; with what)
+# edit -> (what it replaces: one value, the values, the document or its
+# n; with what).  n must be the JSON integer 2, not a float or a string.
+BAD_N = {"n_float": 2.7, "n_integral_float": 2.0, "n_string": "2"}
 BAD_FUNCTION_FILES = {
     "nan": ("value", [1.0, float("nan")]),
     "inf": ("value", [1.0, float("inf")]),
@@ -156,6 +158,7 @@ BAD_FUNCTION_FILES = {
     "scalar": ("value", 5),
     "values_list": ("values", [1, 2]),
     "document_list": ("document", [1, 2]),
+    **{edit: ("n", bad) for edit, bad in BAD_N.items()},
 }
 
 
@@ -166,8 +169,8 @@ def test_non_finite_function_rejected(tmp_path, edit):
     where, bad = BAD_FUNCTION_FILES[edit]
     if where == "value":
         data["values"]["#"] = bad
-    elif where == "values":
-        data["values"] = bad
+    elif where in ("values", "n"):
+        data[where] = bad
     else:
         data = bad
     with pytest.raises(ContractError):
@@ -177,6 +180,15 @@ def test_non_finite_function_rejected(tmp_path, edit):
     assert main(["fft", "--family", "rook", "--n", "2", "--in", str(src),
                  "--out", str(out)]) == EXIT_PARSE
     assert not out.exists()
+
+
+def test_bool_n_rejected():
+    """true is not the integer 1."""
+    S = make_structure("rook", 1)
+    data = function_to_json(random_function(S, np.random.default_rng(8)))
+    data["n"] = True
+    with pytest.raises(ContractError):
+        function_from_json(S, data)
 
 
 @pytest.mark.parametrize("family,key", [("planar_rook", "1>2;2>1"),
@@ -197,7 +209,7 @@ def test_function_key_outside_the_semigroup(tmp_path, capsys, family, key):
 
 
 @pytest.mark.parametrize("edit", ["nan", "inf", "rows", "cols", "string",
-                                  "block_list", "document_list"])
+                                  "block_list", "document_list", *BAD_N])
 def test_bad_spectrum_rejected(tmp_path, edit):
     S = make_structure("rook", 2)
     Y = induce(S)
@@ -214,6 +226,8 @@ def test_bad_spectrum_rejected(tmp_path, edit):
         data["blocks"][pos] = [1, 2]
     elif edit == "document_list":
         data = [1, 2]
+    elif edit in BAD_N:
+        data["n"] = BAD_N[edit]
     else:
         blk[edit] = blk[edit][::-1]
     with pytest.raises(ContractError):

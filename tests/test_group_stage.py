@@ -158,7 +158,8 @@ def _expected_counts(S, Y):
 
 
 @pytest.mark.parametrize("family,n", [("rook", 4), ("cyclic_shift", 5),
-                                      ("rotation", 6)])
+                                      ("rotation", 6), ("cyclic_shift", 7),
+                                      ("rotation", 10)])
 def test_group_stage_exact_counts(family, n):
     S = make_structure(family, n)
     Y = induce(S)
@@ -172,6 +173,11 @@ def test_group_stage_exact_counts(family, n):
     inv = (whole_inv.additions - mobius.additions,
            whole_inv.multiplications - mobius.multiplications)
     assert (fwd, inv) == _expected_counts(S, Y)
+    if family != "rook":
+        # a cyclic class of order k <= n costs at most k of each per
+        # element; the inverse one multiplication more, for the 1/k
+        assert max(fwd) <= n * len(S)
+        assert max(inv) <= (n + 1) * len(S)
 
 
 def test_rook4_forward_count_is_the_per_pair_count():
