@@ -5,9 +5,8 @@ from .errors import (CapabilityError, ContractError, DomainError,
                      SizeCapError, StructureError)
 from .families import FAMILIES, FamilySpec, build, predicted_size
 from .fast_transforms import OpCounter, fast_mobius, fast_zeta
-from .group_harmonics import (GroupRepSet, GroupSpectrum, cyclic_ft_fast,
-                              cyclic_ift_fast, group_ft, group_ift,
-                              irreps_cyclic, irreps_symmetric,
+from .group_harmonics import (GroupRepSet, GroupSpectrum, group_ft,
+                              group_ift, irreps_cyclic, irreps_symmetric,
                               irreps_wreath_abelian, validate_repset)
 from .groups import GroupTable, cyclic_group, symmetric_group, wreath_group
 from .semigroup_fourier import (ConjugatedRepSet, FourierCoefficients,

@@ -65,7 +65,8 @@ def _parser() -> argparse.ArgumentParser:
             sp.add_argument("--label-group", default=None,
                             help=f"wreath label group: {BUILTIN_LABEL_GROUPS}")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1, help="ignored; "
+                        "it does not set the BLAS thread count")
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError, StructureError
+from .errors import ContractError, DomainError, SizeCapError, StructureError
 from .groups import DEFAULT_SIZE_CAP, GroupTable, label_group_by_name
 from .structure import SemigroupStructure
 
@@ -52,8 +52,10 @@ class FamilySpec:
 
     @staticmethod
     def from_json(data: dict) -> "FamilySpec":
-        lg = data.get("label_group")
-        return FamilySpec(data["family"], int(data["n"]),
+        n, lg = data.get("n"), data.get("label_group")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ContractError(f"family n is not an integer: {n!r}")
+        return FamilySpec(data["family"], n,
                           label_group_by_name(lg) if lg else None)
 
 

@@ -1,5 +1,5 @@
 """Irreducible representations of the maximal-subgroup families and
-exact group Fourier transforms, with a fast cyclic path.
+exact group Fourier transforms.
 
 Covered: characters of Z_k, Young's orthogonal representations of S_k,
 and the induced-from-Young-subgroup construction for wreath products of
@@ -8,17 +8,10 @@ by their matrices on generators: the adjacent transpositions, plus each
 non-identity label at point 1 for G wr S_k.  A breadth-first walk of the
 Cayley graph from the identity, cached per group, fills each (|G|, d, d)
 tensor with one batched product per (layer, generator), rho(g s) =
-rho(g) rho(s); no element's matrix is evaluated on its own.  Every
-transform takes a leading batch axis of
-functions.  The dense group transforms are one matrix product per
-representation over the whole batch.  The cyclic DFT of length k is the
-dense character product x @ W at every length: k(k-1) additions and k^2
-multiplications per row, and the identity at k = 1.  Every built-in
-family has k <= n, so it costs at most n |S| of each, the order of the
-zeta stage.  A radix-2 FFT counts O(k log k) but is faster in wall time
-only from about k = 256, far past the largest built-in cyclic order.
-fft / ifft make one such call per group order, over every cyclic class
-of that order.
+rho(g) rho(s); no element's matrix is evaluated on its own.  A group
+transform is one product per operand over a batch of rows; only
+group_operands makes operands: the shared character matrix W_k for the
+characters of Z_k (a dense DFT), else each rep's tensor.
 """
 from __future__ import annotations
 
@@ -52,8 +45,8 @@ class GroupRepSet:
     group: GroupTable
     reps: list[Irrep]
     # For recognized cyclic groups: exponent of each element w.r.t. the
-    # chosen generator, enabling the fast DFT path.  The reps must then be
-    # characters, in any order; induce() finds each one's DFT bin.
+    # chosen generator.  The reps must then be characters, in any order;
+    # group_operands finds each one's DFT bin.
     cyclic_exponents: list[int] | None = None
 
     @property
@@ -249,11 +242,11 @@ def irreps_symmetric(k: int, cap: int = SYMMETRIC_CAP) -> GroupRepSet:
 # -- cyclic groups ---------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _character_matrix(k: int, sign: int) -> np.ndarray:
-    """W[t, j] = e^(sign 2 pi i j t / k), so a row's DFT is x @ W.
-    Cached read-only."""
+def _character_matrix(k: int) -> np.ndarray:
+    """W[t, j] = e^(2 pi i j t / k): character j at exponent t, so a row's
+    DFT is x @ W.  Cached read-only, so every class of order k shares it."""
     t = np.arange(k)
-    w = np.exp(sign * 2j * np.pi * (np.outer(t, t) % k) / k)
+    w = np.exp(2j * np.pi * (np.outer(t, t) % k) / k)
     w.flags.writeable = False
     return w
 
@@ -278,7 +271,7 @@ def cyclic_repset_for(group: GroupTable, gen: int | None = None) -> GroupRepSet:
         raise CapabilityError("group is not cyclic on that generator")
     exps = _exponents(group, gen)
     # W is symmetric: row j of W[:, exps] is character j at each element
-    chars = _character_matrix(len(group), +1)[:, exps]
+    chars = _character_matrix(len(group))[:, exps]
     reps = [Irrep(f"chi_{j}", 1, ch[:, None, None])
             for j, ch in enumerate(chars)]
     return GroupRepSet(group, reps, cyclic_exponents=exps)
@@ -293,7 +286,7 @@ def abelian_characters(group: GroupTable) -> list[np.ndarray]:
     gen = group.generator_if_cyclic()
     k = len(group)
     if gen is not None:
-        chars = list(_character_matrix(k, +1)[:, _exponents(group, gen)])
+        chars = list(_character_matrix(k)[:, _exponents(group, gen)])
     else:
         # Simultaneously diagonalize the regular representation with a
         # fixed pseudo-random combination; eigenvectors give the characters.
@@ -468,6 +461,48 @@ def repset_for_subgroup(structure, dclass, cap: int = SYMMETRIC_CAP) -> GroupRep
 
 # -- group Fourier transforms ----------------------------------------------
 
+def _character_bins(rs: GroupRepSet, tol: float = 1e-9) -> np.ndarray:
+    """DFT bin j of each rep of a cyclic set, read off its value at the
+    generator.  The rep must be the character x -> exp(2 pi i j e(x) / k)
+    of the cyclic exponents e."""
+    k = len(rs.group)
+    if sorted(rs.cyclic_exponents) != list(range(k)):
+        raise ContractError("cyclic exponents must enumerate 0..k-1")
+    values = np.array([rep.matrices[:, 0, 0] for rep in rs.reps])
+    gen = list(rs.cyclic_exponents).index(1 % k)
+    bins = np.rint(k * np.angle(values[:, gen]) / (2 * np.pi)).astype(int) % k
+    err = np.abs(values - _character_matrix(k)[bins][:, rs.cyclic_exponents])
+    for rep, bad in zip(rs.reps, err.max(axis=1) > tol):
+        if bad or rep.dim != 1:
+            raise ContractError(f"{rep.label}: not a cyclic character")
+    if len(set(bins.tolist())) != k:
+        raise ContractError("cyclic characters repeat")
+    return bins
+
+
+def group_operands(rs: GroupRepSet) -> tuple[np.ndarray, list[tuple]]:
+    """A rep set's operand element order and operands (matrix, reps, d):
+    the (|G|, m) matrix's columns are the row-major d x d matrices of the
+    reps with these indices, in turn.  A set with cyclic_exponents is the
+    shared W_k in exponent order, column j the character of DFT bin j;
+    any other set is each rep's tensor viewed as (|G|, d^2)."""
+    n = len(rs.group)
+    if rs.cyclic_exponents is not None:
+        reps = tuple(np.argsort(_character_bins(rs)).tolist())
+        return np.argsort(rs.cyclic_exponents), [(_character_matrix(n), reps, 1)]
+    return np.arange(n), [(rep.matrices.reshape(n, rep.dim ** 2), (i,), rep.dim)
+                          for i, rep in enumerate(rs.reps)]
+
+
+def count_products(counter: OpCounter, rows: int, n: int, m: int,
+                   inverse: bool = False) -> None:
+    """Count rows times operands of m columns in all, over a group of
+    order n (nothing at n = 1, the identity); inverse, also the d/|G|
+    scale of the m entries and the sum of the operands' products."""
+    counter.multiplications += rows * m * ((n if n > 1 else 0) + inverse)
+    counter.additions += rows * (n * (m - 1) if inverse else (n - 1) * m)
+
+
 @dataclass
 class GroupSpectrum:
     blocks: dict[str, np.ndarray] = field(default_factory=dict)
@@ -476,45 +511,46 @@ class GroupSpectrum:
 def group_ft(values: np.ndarray, reps: GroupRepSet,
              counter: OpCounter | None = None) -> GroupSpectrum:
     """f_hat(rho) = sum_s f(s) rho(s) for each row of values (..., |G|):
-    one (rows, |G|) x (|G|, d^2) product per rep, blocks (..., d, d)."""
+    one (rows, |G|) x (|G|, m) product per operand, blocks (..., d, d)."""
     counter = counter if counter is not None else OpCounter()
     values = np.asarray(values, dtype=complex)
     n = len(reps.group)
     if values.shape[-1:] != (n,):
         raise ContractError("value vector length must equal |G|")
-    lead = values.shape[:-1]
-    rows = values.reshape(-1, n)
-    out = GroupSpectrum()
-    for rep in reps.reps:
-        d = rep.dim
-        out.blocks[rep.label] = (rows @ rep.matrices.reshape(n, d * d)
-                                 ).reshape(*lead, d, d)
-        counter.multiplications += len(rows) * n * d * d
-        counter.additions += len(rows) * (n - 1) * d * d
-    return out
+    order, operands = group_operands(reps)
+    rows = values.reshape(-1, n)[:, order]
+    blocks = {}
+    for matrix, idx, d in operands:
+        prod = (rows @ matrix).reshape(*values.shape[:-1], len(idx), d, d)
+        blocks.update((reps.reps[i].label, prod[..., j, :, :])
+                      for j, i in enumerate(idx))
+        count_products(counter, len(rows), n, matrix.shape[1])
+    return GroupSpectrum({rep.label: blocks[rep.label] for rep in reps.reps})
 
 
 def group_ift(spec: GroupSpectrum, reps: GroupRepSet,
               counter: OpCounter | None = None) -> np.ndarray:
     """f(s) = (1/|G|) sum_rho d_rho tr(f_hat(rho) rho(s^-1)) for blocks
-    (..., d, d).  Per rep, one product of the flattened transposed blocks
-    with the flattened matrices gives tr(f_hat(rho) rho(y)) for every y,
-    read at y = s^-1: nothing assumes rho(s^-1) = rho(s)^T."""
+    (..., d, d).  Per operand, the scaled, transposed blocks times the
+    operand's transpose give tr(f_hat(rho) rho(y)) for every y; their sum
+    is written at y^-1, so nothing assumes rho(s^-1) = rho(s)^T."""
     counter = counter if counter is not None else OpCounter()
     n = len(reps.group)
-    inv = np.asarray(reps.group.inverse)
     lead = np.shape(spec.blocks.get(reps.reps[0].label))[:-2]
     rows = math.prod(lead)
-    out = np.zeros((rows, n), dtype=complex)
     for rep in reps.reps:
-        d = rep.dim
         block = spec.blocks.get(rep.label)
-        if block is None or block.shape != (*lead, d, d):
+        if block is None or block.shape != (*lead, rep.dim, rep.dim):
             raise ContractError(f"spectrum block missing or misshaped: {rep.label}")
-        flat = np.swapaxes(block, -1, -2).reshape(rows, d * d) * (d / n)
-        out += (flat @ rep.matrices.reshape(n, d * d).T)[:, inv]
-        counter.multiplications += rows * d * d * (n + 1)
-        counter.additions += rows * n * d * d
+    order, operands = group_operands(reps)
+    acc = np.zeros((rows, n), dtype=complex)
+    for matrix, idx, d in operands:
+        flat = np.concatenate([np.swapaxes(spec.blocks[reps.reps[i].label], -1, -2)
+                               .reshape(rows, d * d) for i in idx], axis=1)
+        acc += (flat * (d / n)) @ matrix.T
+        count_products(counter, rows, n, matrix.shape[1], inverse=True)
+    out = np.empty_like(acc)
+    out[:, np.asarray(reps.group.inverse)[order]] = acc
     return out.reshape(*lead, n)
 
 
@@ -540,37 +576,3 @@ def validate_repset(reps: GroupRepSet, tol: float = 1e-9,
     gram = chars @ chars.conj().T / n
     if np.abs(gram - np.eye(len(reps.reps))).max() > tol:
         raise ContractError("representations are not pairwise inequivalent")
-
-
-# -- fast cyclic transforms ------------------------------------------------
-#
-# Each transforms the last axis of a batch of rows.  Counts are per row: a
-# batch costs exactly what its rows cost one at a time.
-
-def _dft_any(x: np.ndarray, sign: int, counter: OpCounter) -> np.ndarray:
-    """Length-k DFT sum_t x_t e^(sign 2 pi i j t / k) of each row: the
-    dense character product, k(k-1) additions and k^2 multiplications
-    per row; a length-1 DFT is the identity and costs nothing."""
-    x = np.asarray(x, dtype=complex)
-    k = x.shape[-1]
-    if k == 1:
-        return x.copy()
-    rows = x.size // k
-    counter.additions += rows * k * (k - 1)
-    counter.multiplications += rows * k * k
-    return x @ _character_matrix(k, sign)
-
-
-def cyclic_ft_fast(values: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Character transform c_j = sum_t f_t e^(+2 pi i j t / k) of each row."""
-    counter = counter if counter is not None else OpCounter()
-    return _dft_any(values, +1, counter)
-
-
-def cyclic_ift_fast(spectrum: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Inverse of cyclic_ft_fast: f_t = (1/k) sum_j c_j e^(-2 pi i j t / k)."""
-    counter = counter if counter is not None else OpCounter()
-    spectrum = np.asarray(spectrum, dtype=complex)
-    out = _dft_any(spectrum, -1, counter) / spectrum.shape[-1]
-    counter.multiplications += spectrum.size
-    return out

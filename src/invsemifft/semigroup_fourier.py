@@ -1,25 +1,28 @@
 """Fourier analysis on a finite inverse semigroup.
 
 The semigroup algebra splits, class by class, into matrix algebras over
-the maximal subgroup algebras.  The forward transform therefore runs in
-two stages: a fast zeta transform into the groupoid basis, then the
-group stage: per D-class, one group Fourier transform batched over all
-its idempotent pairs.  The inverse runs the stages backwards.  Also
-here: the direct per-element inversion formulas, convolution (naive and
+the maximal subgroup algebras.  So fft is a fast zeta transform into the
+groupoid basis, then the group stage: `induce` lowers every D-class to
+its ids, one row per idempotent pair, and its operands from
+`group_operands`, classes with the same operands sharing one batch, and
+each call makes one gather and one product per operand.  ifft runs the
+operands transposed, then the fast Mobius transform.  Also here: the
+direct per-element inversion formulas, convolution (naive and
 spectral), and JSON artifacts.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .elements import decode, encode
 from .errors import ContractError, DomainError, StructureError
 from .fast_transforms import OpCounter, fast_mobius, fast_zeta
-from .group_harmonics import (GroupRepSet, GroupSpectrum, cyclic_ft_fast,
-                              cyclic_ift_fast, group_ft, group_ift,
+from .group_harmonics import (GroupRepSet, count_products, group_operands,
                               repset_for_subgroup)
 from .structure import GROUPOID, SEMIGROUP, FunctionOnS, SemigroupStructure
 
@@ -39,19 +42,6 @@ class InducedEntry:
     offset: int       # position in the flat block list
 
 
-@dataclass(frozen=True)
-class CyclicBatch:
-    """Every cyclic class of one group order k, for one DFT call.
-
-    ids: (rows, k) element ids, each class's r^2 idempotent pairs in
-    turn, each row in exponent order.  blocks: per rep, its (block
-    offset, first row, r, DFT bin); the block is the r^2 rows from the
-    first row on, read at the bin.
-    """
-    ids: np.ndarray
-    blocks: list[tuple[int, int, int, int]]
-
-
 @dataclass
 class InducedRepSet:
     structure: SemigroupStructure
@@ -59,15 +49,23 @@ class InducedRepSet:
     entries: list[InducedEntry] = field(default_factory=list)
     # Per D-class: its entries.
     class_entries: list[list[InducedEntry]] = field(default_factory=list)
-    # The cyclic classes, stacked by group order k.
-    cyclic_batches: list[CyclicBatch] = field(default_factory=list)
+    # The group stage, one batch per list of operand objects (see _lower):
+    # (ids, S.inverse[ids], [(matrix, d/|G|, product buffer slice), ...]).
+    batches: list[tuple] = field(default_factory=list)
+    # fft's spectrum buffer: a (count, D, D) stack per block size D,
+    # ascending; block_at[e] is entry e's place in the stacks, spectrum_at[i]
+    # the product entry at position i.  transposed_at[j]: product entry j
+    # read in the transposed block, among the blocks in entry order.
+    stacks: list[tuple[int, int]] = field(default_factory=list)
+    block_at: list[int] = field(default_factory=list)
+    spectrum_at: np.ndarray | None = None
+    transposed_at: np.ndarray | None = None
 
     def __post_init__(self):
         S = self.structure
         if len(self.class_repsets) != len(S.d_classes):
             raise ContractError("need one representation set per D-class")
         self.entries, self.class_entries = [], []
-        total = 0
         for dc, rs in zip(S.d_classes, self.class_repsets):
             if rs.group is not dc.subgroup and rs.group.keys != dc.subgroup.keys:
                 raise ContractError(
@@ -83,53 +81,71 @@ class InducedRepSet:
                    for j, rep in enumerate(rs.reps)]
             self.entries += cls
             self.class_entries.append(cls)
-            total += sum(e.dim ** 2 for e in cls)
+        dims = self.dims
+        by_size = sorted(range(len(dims)), key=dims.__getitem__)
+        self.block_at, size_start, total = [0] * len(dims), [0] * len(dims), 0
+        for k, i in enumerate(by_size):
+            self.block_at[i], size_start[i], total = k, total, total + dims[i] ** 2
         if total != len(S):
             raise ContractError(
                 f"induced dimensions square-sum to {total}, |S| = {len(S)}")
-        self.cyclic_batches = _cyclic_batches(S, self.class_repsets,
-                                              self.class_entries)
+        self.stacks = [(len(list(run)), dim) for dim, run in
+                       itertools.groupby(dims[i] for i in by_size)]
+        entry_start = list(itertools.accumulate((d * d for d in dims), initial=0))
+        self.batches, self.spectrum_at, self.transposed_at = _lower(
+            S, self.class_repsets, self.class_entries, size_start, entry_start)
 
     @property
     def dims(self) -> list[int]:
         return [e.dim for e in self.entries]
 
 
-def _cyclic_batches(S: SemigroupStructure, class_repsets: list[GroupRepSet],
-                    class_entries: list[list[InducedEntry]]) -> list[CyclicBatch]:
-    ids: dict[int, list[np.ndarray]] = {}
-    blocks: dict[int, list[tuple[int, int, int, int]]] = {}
+@lru_cache(maxsize=None)
+def _pair_positions(r: int, d: int, transpose: bool) -> np.ndarray:
+    """(r^2, d^2), read-only: entry (a r + b, p d + q) is the position of
+    (a d + p, b d + q) in an (r d, r d) block, or of (b d + q, a d + p)."""
+    block = np.arange((r * d) ** 2).reshape(r, d, r, d)     # [a, p, b, q]
+    out = block.transpose((2, 0, 3, 1) if transpose else (0, 2, 1, 3)
+                          ).reshape(r * r, d * d)
+    out.flags.writeable = False
+    return out
+
+
+def _lower(S, class_repsets, class_entries, size_start, entry_start):
+    """The group stage's batches, spectrum_at and transposed_at.  A class
+    is its ids in its operands' element order, one row per idempotent pair
+    (a, b), and its operands; classes with the same operand objects share
+    a batch.  Each operand's (rows, m)
+    product fills the next slice of the product buffer; its entry (pair
+    (a, b), column (p, q) of rep j) is entry (a d + p, b d + q) of rep j's
+    block, at size_start in the stacks and entry_start in entry order."""
+    stacked = {}
     for dc, rs, entries in zip(S.d_classes, class_repsets, class_entries):
-        if rs.cyclic_exponents is None:
-            continue
-        bins = _character_bins(rs)
-        k, r = len(dc.subgroup), dc.num_idempotents
-        by_exp = np.empty((r * r, k), dtype=np.intp)
-        by_exp[:, rs.cyclic_exponents] = dc.coord_ids.reshape(r * r, k)
-        start = sum(map(len, ids.get(k, [])))
-        ids.setdefault(k, []).append(by_exp)
-        blocks.setdefault(k, []).extend(
-            (e.offset, start, r, j) for e, j in zip(entries, bins))
-    return [CyclicBatch(np.concatenate(ids[k]), blocks[k]) for k in sorted(ids)]
-
-
-def _character_bins(rs: GroupRepSet, tol: float = 1e-9) -> np.ndarray:
-    """DFT bin j of each rep of a cyclic set, read off its value at the
-    generator.  The rep must be the character x -> exp(2 pi i j e(x) / k)
-    of the cyclic exponents e."""
-    k, exps = len(rs.group), np.asarray(rs.cyclic_exponents)
-    if sorted(rs.cyclic_exponents) != list(range(k)):
-        raise ContractError("cyclic exponents must enumerate 0..k-1")
-    gen = list(rs.cyclic_exponents).index(1 % k)
-    bins = [round(k * np.angle(rep.matrices[gen, 0, 0]) / (2 * np.pi)) % k
-            for rep in rs.reps]
-    for rep, j in zip(rs.reps, bins):
-        if rep.dim != 1 or np.abs(rep.matrices[:, 0, 0]
-                                  - np.exp(2j * np.pi * j * exps / k)).max() > tol:
-            raise ContractError(f"{rep.label}: not a cyclic character")
-    if len(set(bins)) != k:
-        raise ContractError("cyclic characters repeat")
-    return np.array(bins)
+        order, operands = group_operands(rs)
+        r = dc.num_idempotents
+        pairs = dc.coord_ids.reshape(r * r, -1)
+        maps = [[(np.array([start[entries[i].offset] for i in idx])[:, None]
+                  + _pair_positions(r, d, transpose)[:, None, :]).ravel()
+                 for start, transpose in ((size_start, False),
+                                          (entry_start, True))]
+                for _, idx, d in operands]
+        key = tuple(id(matrix) for matrix, _, _ in operands)
+        _, members = stacked.setdefault(key, (operands, []))
+        members.append((np.take(pairs, order, axis=1), maps))
+    batches, dest, src, lo = [], [], [], 0
+    for operands, members in stacked.values():
+        ids, maps = zip(*members)
+        ids, slices = np.concatenate(ids), []
+        for j, (matrix, _, d) in enumerate(operands):
+            hi = lo + len(ids) * matrix.shape[1]
+            slices.append((matrix, d / len(matrix), slice(lo, hi)))
+            dest += [m[j][0] for m in maps]
+            src += [m[j][1] for m in maps]
+            lo = hi
+        batches.append((ids, S.inverse[ids], slices))
+    spectrum_at = np.empty(len(S), dtype=np.intp)
+    spectrum_at[np.concatenate(dest)] = np.arange(len(S))
+    return batches, spectrum_at, np.concatenate(src)
 
 
 def induce(S: SemigroupStructure,
@@ -167,8 +183,9 @@ class FourierCoefficients:
 
 def fft(f: FunctionOnS, Y: InducedRepSet,
         counter: OpCounter | None = None) -> FourierCoefficients:
-    """Fast zeta into the groupoid basis, then per D-class one group
-    transform batched over all r^2 idempotent pairs."""
+    """Fast zeta, then per batch one gather of rows and per operand one
+    product into the product buffer; the blocks are views of that buffer
+    put in spectrum order."""
     S = f.structure
     if S is not Y.structure:
         raise ContractError("function and representation set disagree on S")
@@ -176,44 +193,40 @@ def fft(f: FunctionOnS, Y: InducedRepSet,
         raise ContractError("fft expects the semigroup basis")
     counter = counter if counter is not None else OpCounter()
     g = fast_zeta(f, counter)
-    blocks = [None] * len(Y.entries)
-    for batch in Y.cyclic_batches:
-        spectrum = cyclic_ft_fast(g.values[batch.ids], counter)
-        for offset, start, r, j in batch.blocks:
-            blocks[offset] = spectrum[start:start + r * r, j].reshape(r, r)
-    for dc, rs, entries in zip(S.d_classes, Y.class_repsets, Y.class_entries):
-        if rs.cyclic_exponents is not None:
-            continue
-        r = dc.num_idempotents
-        spec = group_ft(g.values[dc.coord_ids].reshape(r * r, -1), rs, counter)
-        for entry, rep in zip(entries, rs.reps):
-            d = rep.dim
-            blocks[entry.offset] = spec.blocks[rep.label].reshape(
-                r, r, d, d).swapaxes(1, 2).reshape(r * d, r * d)
-    return FourierCoefficients(Y, blocks)
+    products = np.empty(len(S), dtype=complex)
+    for ids, _, operands in Y.batches:
+        rows = g.values[ids]
+        for matrix, _, at in operands:
+            np.matmul(rows, matrix, out=products[at].reshape(len(rows), -1))
+        # a complete set's operands have |G| columns in all
+        count_products(counter, *rows.shape, rows.shape[1])
+    spectrum, views = products[Y.spectrum_at], []
+    for count, dim in Y.stacks:
+        views += list(spectrum[:count * dim * dim].reshape(count, dim, dim))
+        spectrum = spectrum[count * dim * dim:]
+    return FourierCoefficients(Y, [views[k] for k in Y.block_at])
 
 
 def ifft(c: FourierCoefficients,
          counter: OpCounter | None = None) -> FunctionOnS:
-    """Per D-class one batched group inversion, then the fast Mobius
-    transform."""
+    """The transposed blocks' entries in product order; per batch, the
+    sum over operands of the scaled entries times the operand's transpose.
+    Row (a, b) at y is then tr(F_ba rho(y)) summed over the reps, the
+    groupoid coefficient of the inverse of (a, b, y), so it is written at
+    the inverse ids; then fast Mobius."""
     Y = c.repset
     S = Y.structure
     counter = counter if counter is not None else OpCounter()
-    gvals = np.zeros(len(S), dtype=complex)
-    for batch in Y.cyclic_batches:
-        spectrum = np.empty(batch.ids.shape, dtype=complex)
-        for offset, start, r, j in batch.blocks:
-            spectrum[start:start + r * r, j] = c.blocks[offset].reshape(r * r)
-        gvals[batch.ids] = cyclic_ift_fast(spectrum, counter)
-    for dc, rs, entries in zip(S.d_classes, Y.class_repsets, Y.class_entries):
-        if rs.cyclic_exponents is not None:
-            continue
-        r = dc.num_idempotents
-        spec = GroupSpectrum({rep.label: c.blocks[e.offset].reshape(
-            r, rep.dim, r, rep.dim).swapaxes(1, 2).reshape(r * r, rep.dim, rep.dim)
-            for e, rep in zip(entries, rs.reps)})
-        gvals[dc.coord_ids] = group_ift(spec, rs, counter).reshape(r, r, -1)
+    spectrum = np.concatenate(c.blocks, axis=None)[Y.transposed_at]
+    gvals = np.empty(len(S), dtype=complex)
+    for ids, inv_ids, operands in Y.batches:
+        terms = ((spectrum[at].reshape(len(ids), -1) * scale) @ matrix.T
+                 for matrix, scale, at in operands)
+        acc = next(terms)
+        for term in terms:
+            acc += term
+        gvals[inv_ids] = acc
+        count_products(counter, *acc.shape, acc.shape[1], inverse=True)
     return fast_mobius(FunctionOnS(S, GROUPOID, gvals), counter)
 
 
@@ -328,43 +341,31 @@ class ConjugatedRepSet:
         return [A @ blk @ Ai
                 for A, Ai, blk in zip(self.mats, self.mats_inv, c.blocks)]
 
-    def groupoid_matrix(self, entry: InducedEntry, t: int) -> np.ndarray:
-        """rho-tilde of the groupoid basis element of t (zero off-class)."""
-        key = ("groupoid", entry.offset, t)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        S = self.base.structure
-        out = np.zeros((entry.dim, entry.dim), dtype=complex)
-        k, a, b, y = S.element_coords[t]
-        if k == entry.class_index:
+    def _conjugated(self, key: tuple, entry: InducedEntry,
+                    terms: list[int]) -> np.ndarray:
+        """A rho(sum of the groupoid basis elements in terms) A^-1 for the
+        entry's rep rho and basis change A, cached under key."""
+        if key not in self._cache:
+            k = entry.class_index
             rep = self.base.class_repsets[k].reps[entry.rep_index]
             d = rep.dim
-            out[a * d:(a + 1) * d, b * d:(b + 1) * d] = rep.matrices[y]
-        A, Ai = self.mats[entry.offset], self.mats_inv[entry.offset]
-        result = A @ out @ Ai
-        self._cache[key] = result
-        return result
+            out = np.zeros((entry.dim, entry.dim), dtype=complex)
+            for t in terms:
+                ck, a, b, y = self.base.structure.element_coords[t]
+                if ck == k:
+                    out[a * d:(a + 1) * d, b * d:(b + 1) * d] += rep.matrices[y]
+            self._cache[key] = (self.mats[entry.offset] @ out
+                                @ self.mats_inv[entry.offset])
+        return self._cache[key]
+
+    def groupoid_matrix(self, entry: InducedEntry, t: int) -> np.ndarray:
+        """rho-tilde of the groupoid basis element of t (zero off-class)."""
+        return self._conjugated(("groupoid", entry.offset, t), entry, [t])
 
     def natural_matrix(self, entry: InducedEntry, v: int) -> np.ndarray:
         """rho-tilde of the natural basis element v: sum over the ideal below."""
-        key = ("natural", entry.offset, v)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        S = self.base.structure
-        out = np.zeros((entry.dim, entry.dim), dtype=complex)
-        k = entry.class_index
-        rep = self.base.class_repsets[k].reps[entry.rep_index]
-        d = rep.dim
-        for t in S.downsets()[v]:
-            ck, a, b, y = S.element_coords[t]
-            if ck == k:
-                out[a * d:(a + 1) * d, b * d:(b + 1) * d] += rep.matrices[y]
-        A, Ai = self.mats[entry.offset], self.mats_inv[entry.offset]
-        result = A @ out @ Ai
-        self._cache[key] = result
-        return result
+        return self._conjugated(("natural", entry.offset, v), entry,
+                                self.base.structure.downsets()[v])
 
 
 def invert_equivalent_reps(c: FourierCoefficients, s: int,
@@ -513,10 +514,7 @@ def spectrum_to_json(c: FourierCoefficients) -> dict:
     for entry, blk in zip(Y.entries, c.blocks):
         dc = S.d_classes[entry.class_index]
         rep = Y.class_repsets[entry.class_index].reps[entry.rep_index]
-        data = []
-        for row in blk:
-            for z in row:
-                data.extend([z.real, z.imag])
+        data = np.stack([blk.real, blk.imag], axis=-1).ravel().tolist()
         blocks.append({"class": entry.class_index, "rep": rep.label,
                        "rows": list(dc.idempotent_ids),
                        "cols": list(dc.idempotent_ids),

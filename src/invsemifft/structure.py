@@ -21,7 +21,7 @@ the quadratic zeta/Mobius reference transforms used as oracles.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +40,6 @@ class DClassStructure:
     # keys are (perm, labels): the action on sorted dom(e_k) in positions
     # 1..k, not element ids; the ids are coord_ids[0, 0]
     subgroup: GroupTable
-    idem_pos: dict[int, int] = field(default_factory=dict)
-    local_of: dict[int, int] = field(default_factory=dict)
     # (ran position, dom position, local subgroup index) -> element id
     coord_ids: np.ndarray | None = None
 
@@ -234,8 +232,6 @@ class SemigroupStructure:
             idems_k = idems_k.tolist()
             dc = DClassStructure(k, ids.tolist(), idems_k, idems_k[0], dict(
                 zip(idems_k, connector[idems_k].tolist())), subgroup)
-            dc.idem_pos = {e: p for p, e in enumerate(idems_k)}
-            dc.local_of = {g: p for p, g in enumerate(sub_ids.tolist())}
             dc.coord_ids = np.zeros((len(idems_k), len(idems_k), len(subgroup)),
                                     dtype=np.intp)
             dc.coord_ids[a_pos[ids], b_pos[ids], local[y_id[ids]]] = ids

@@ -27,6 +27,13 @@ def test_parse_args():
     assert cfg.seed == 9 and cfg.threads == 1
 
 
+def test_threads_help_says_it_sets_no_blas_threads(capsys):
+    with pytest.raises(SystemExit):
+        parse_args(["fft", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "does not set the BLAS thread count" in help_text
+
+
 def test_build_and_families(capsys):
     assert main(["build", "--family", "rook", "--n", "3"]) == EXIT_OK
     out = capsys.readouterr().out

@@ -149,12 +149,13 @@ def coordinates_by_products(S):
     ran_id = [S.id_of(compose(el, inverse_of(el, lg), lg)) for el in els]
     coords = []
     for i, el in enumerate(els):
-        dc = next(dc for dc in S.d_classes if ran_id[i] in dc.idem_pos)
+        dc = next(dc for dc in S.d_classes if ran_id[i] in dc.idempotent_ids)
         p_ran = els[dc.connectors[ran_id[i]]]
         p_dom = els[dc.connectors[dom_id[i]]]
         y = compose(compose(inverse_of(p_ran, lg), el, lg), p_dom, lg)
-        coords.append((dc.index, dc.idem_pos[ran_id[i]], dc.idem_pos[dom_id[i]],
-                       dc.local_of[S.id_of(y)]))
+        coords.append((dc.index, dc.idempotent_ids.index(ran_id[i]),
+                       dc.idempotent_ids.index(dom_id[i]),
+                       dc.coord_ids[0, 0].tolist().index(S.id_of(y))))
     return dom_id, ran_id, coords
 
 
@@ -328,7 +329,7 @@ def test_subgroup_identity_and_inverses(family, n, label):
         assert g.keys[g.identity] == (tuple(range(1, k + 1)), (0,) * k)
         assert ids[g.identity] == dc.rep_idempotent
         for x, key in enumerate(ids):
-            assert g.inverse[x] == dc.local_of[S.inv(key)]
+            assert g.inverse[x] == ids.index(S.inv(key))
 
 
 @pytest.mark.parametrize("family,n,label",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from invsemifft.elements import PartialMapElement, empty_map
-from invsemifft.errors import DomainError, SizeCapError, StructureError
+from invsemifft.errors import (ContractError, DomainError, SizeCapError,
+                               StructureError)
 from invsemifft.families import FAMILIES, FamilySpec, build, predicted_size
 from invsemifft.groups import GroupTable, cyclic_group, symmetric_group
 from invsemifft.semigroup_fourier import fft, ifft, induce
@@ -157,6 +158,12 @@ def test_spec_json_round_trip():
     assert len(again.label_group) == 3
     plain = FamilySpec.from_json({"family": "rotation", "n": 5})
     assert plain == FamilySpec("rotation", 5)
+
+
+@pytest.mark.parametrize("n", [3.7, 2.0, "3", True])
+def test_spec_json_needs_an_integer_n(n):
+    with pytest.raises(ContractError):
+        FamilySpec.from_json({"family": "rook", "n": n})
 
 
 def test_size_cap():

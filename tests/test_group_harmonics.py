@@ -1,4 +1,5 @@
-"""Representation builders, group transforms, and the fast cyclic DFT."""
+"""Representation builders and the group transforms, the cyclic DFT
+included."""
 import cmath
 import math
 
@@ -9,8 +10,7 @@ from invsemifft import group_harmonics
 from invsemifft.errors import CapabilityError, ContractError
 from invsemifft.fast_transforms import OpCounter
 from invsemifft.group_harmonics import (GroupSpectrum, _yor_generators,
-                                        abelian_characters, cyclic_ft_fast,
-                                        cyclic_ift_fast, cyclic_repset_for,
+                                        abelian_characters, cyclic_repset_for,
                                         group_ft, group_ift, hook_length_dim,
                                         irreps_cyclic, irreps_symmetric,
                                         irreps_wreath_abelian, partitions,
@@ -255,39 +255,49 @@ def test_spectrum_shape_contract():
         group_ift(bad, rs)
 
 
+def _bins(spec, rs):
+    """A character set's spectrum as a vector over its reps, in rep order."""
+    return np.array([spec.blocks[rep.label][0, 0] for rep in rs.reps])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 16, 17, 31, 48,
                                63, 64, 100])
 def test_cyclic_fast_matches_naive(k):
+    rs = irreps_cyclic(k)
     rng = np.random.default_rng(k)
     f = rng.normal(size=k) + 1j * rng.normal(size=k)
     counter = OpCounter()
-    fast = cyclic_ft_fast(f, counter)
+    spec = group_ft(f, rs, counter)
     naive = np.array([sum(f[t] * cmath.exp(2j * cmath.pi * j * t / k)
                           for t in range(k)) for j in range(k)])
     scale = max(1.0, np.abs(naive).max())
-    assert np.abs(fast - naive).max() <= 1e-9 * scale
-    assert np.abs(cyclic_ift_fast(fast) - f).max() <= 1e-9
-    # the dense character product at every length; length 1 is a copy
+    assert np.abs(_bins(spec, rs) - naive).max() <= 1e-9 * scale
+    assert np.abs(group_ift(spec, rs) - f).max() <= 1e-9
+    # the dense character product at every length; length 1 is the identity
     per_row = (k * (k - 1), k * k) if k > 1 else (0, 0)
     assert (counter.additions, counter.multiplications) == per_row
 
 
 def test_cyclic_fast_delta():
-    assert np.allclose(cyclic_ft_fast(np.eye(8)[0]), np.ones(8))
-    assert np.allclose(cyclic_ft_fast(np.array([3.0])), [3.0])
+    assert np.allclose(_bins(group_ft(np.eye(8)[0], irreps_cyclic(8)),
+                             irreps_cyclic(8)), np.ones(8))
+    assert np.allclose(_bins(group_ft(np.array([3.0]), irreps_cyclic(1)),
+                             irreps_cyclic(1)), [3.0])
 
 
 def test_cyclic_repset_alignment():
     """Character set built for an arbitrary cyclic table follows its
-    generator, so the fast path and the matrices agree."""
-    g = GroupTable([0, 1, 2, 3], lambda a, b: (a + b) % 4, name="Z4")
+    generator, so the character-matrix product in exponent order and the
+    rep matrices agree."""
+    z4 = [0, 2, 1, 3]       # element x is z4[x] in Z/4
+    g = GroupTable([0, 1, 2, 3], lambda a, b: z4.index((z4[a] + z4[b]) % 4),
+                   name="Z4")
     rs = cyclic_repset_for(g)
     validate_repset(rs)
+    assert rs.cyclic_exponents != list(range(4))
     rng = np.random.default_rng(1)
     f = rng.normal(size=4)
-    by_exp = np.zeros(4, dtype=complex)
-    by_exp[rs.cyclic_exponents] = f
-    fast = cyclic_ft_fast(by_exp)
     spec = group_ft(f, rs)
-    for j, rep in enumerate(rs.reps):
-        assert abs(spec.blocks[rep.label][0, 0] - fast[j]) < 1e-10
+    for rep in rs.reps:
+        direct = sum(f[x] * rep.matrices[x] for x in range(4))
+        assert np.abs(spec.blocks[rep.label] - direct).max() < 1e-10

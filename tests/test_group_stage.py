@@ -8,9 +8,9 @@ import pytest
 
 from invsemifft.errors import ContractError
 from invsemifft.fast_transforms import OpCounter, fast_mobius, fast_zeta
-from invsemifft.group_harmonics import (GroupRepSet, Irrep, cyclic_ft_fast,
-                                        cyclic_ift_fast, cyclic_repset_for,
-                                        group_ft, group_ift, irreps_symmetric,
+from invsemifft.group_harmonics import (GroupRepSet, GroupSpectrum, Irrep,
+                                        cyclic_repset_for, group_ft, group_ift,
+                                        irreps_cyclic, irreps_symmetric,
                                         irreps_wreath_abelian, validate_repset)
 from invsemifft.groups import cyclic_group
 from invsemifft.semigroup_fourier import default_irreps, fft, ifft, induce, naive_ft
@@ -130,38 +130,33 @@ def test_non_orthogonal_reps(family, n, label):
 
 # -- exact operation counts of the group stage -----------------------------
 
-def _standalone(transform, k):
-    counter = OpCounter()
-    transform(np.ones(k), counter)
-    return counter.additions, counter.multiplications
-
-
-def _expected_counts(S, Y):
-    """Per class: a dense rep costs r^2 |G| d^2 multiplications and
-    r^2 (|G|-1) d^2 additions forward, r^2 d^2 (|G|+1) and r^2 |G| d^2
-    inverse; a cyclic class costs r^2 standalone length-|G| DFTs."""
+def _expected_counts(S):
+    """Per class of group order k, per idempotent pair: forward
+    (k(k-1), k^2) additions and multiplications, inverse (k(k-1),
+    k(k+1)); at k = 1 the transform is the identity, and the inverse
+    counts only its 1/|G| scale."""
     fwd, inv = [0, 0], [0, 0]
-    for dc, rs in zip(S.d_classes, Y.class_repsets):
-        pairs, order = dc.num_idempotents ** 2, len(dc.subgroup)
-        if rs.cyclic_exponents is not None:
-            for acc, transform in ((fwd, cyclic_ft_fast), (inv, cyclic_ift_fast)):
-                adds, mults = _standalone(transform, order)
-                acc[0] += pairs * adds
-                acc[1] += pairs * mults
-            continue
-        for d in rs.dims:
-            fwd[0] += pairs * (order - 1) * d * d
-            fwd[1] += pairs * order * d * d
-            inv[0] += pairs * order * d * d
-            inv[1] += pairs * d * d * (order + 1)
+    for dc in S.d_classes:
+        pairs, k = dc.num_idempotents ** 2, len(dc.subgroup)
+        per_row = (((k - 1) * k, k * k, (k - 1) * k, k * (k + 1)) if k > 1
+                   else (0, 0, 0, 1))
+        fwd[0] += pairs * per_row[0]
+        fwd[1] += pairs * per_row[1]
+        inv[0] += pairs * per_row[2]
+        inv[1] += pairs * per_row[3]
     return tuple(fwd), tuple(inv)
 
 
-@pytest.mark.parametrize("family,n", [("rook", 4), ("cyclic_shift", 5),
-                                      ("rotation", 6), ("cyclic_shift", 7),
-                                      ("rotation", 10)])
-def test_group_stage_exact_counts(family, n):
-    S = make_structure(family, n)
+@pytest.mark.parametrize("family,n,label", [
+    pytest.param("rook", 4, None, id="rook-4"),
+    pytest.param("cyclic_shift", 5, None, id="cyclic_shift-5"),
+    pytest.param("rotation", 6, None, id="rotation-6"),
+    pytest.param("cyclic_shift", 7, None, id="cyclic_shift-7"),
+    pytest.param("rotation", 10, None, id="rotation-10"),
+    pytest.param("planar_rook", 5, None, id="planar_rook-5"),
+    pytest.param("wreath_rook", 3, 2, id="wreath_rook-3-Z2")])
+def test_group_stage_exact_counts(family, n, label):
+    S = make_structure(family, n, label)
     Y = induce(S)
     f = random_function(S, np.random.default_rng(3))
     whole_fwd, whole_inv, zeta, mobius = (OpCounter() for _ in range(4))
@@ -172,8 +167,8 @@ def test_group_stage_exact_counts(family, n):
            whole_fwd.multiplications - zeta.multiplications)
     inv = (whole_inv.additions - mobius.additions,
            whole_inv.multiplications - mobius.multiplications)
-    assert (fwd, inv) == _expected_counts(S, Y)
-    if family != "rook":
+    assert (fwd, inv) == _expected_counts(S)
+    if family not in ("rook", "wreath_rook"):
         # a cyclic class of order k <= n costs at most k of each per
         # element; the inverse one multiplication more, for the 1/k
         assert max(fwd) <= n * len(S)
@@ -214,16 +209,28 @@ def test_group_transforms_batch_rows(rs):
 
 @pytest.mark.parametrize("k", [1, 4, 7, 12])
 def test_cyclic_fast_batch_rows(k):
+    rs = irreps_cyclic(k)
     rng = np.random.default_rng(k)
     batch = rng.normal(size=(5, k)) + 1j * rng.normal(size=(5, k))
-    for transform in (cyclic_ft_fast, cyclic_ift_fast):
-        counter, one = OpCounter(), OpCounter()
-        out = transform(batch, counter)
-        rows = np.stack([transform(row, one) for row in batch])
-        assert np.abs(out - rows).max() <= 1e-12 * max(1.0, math.sqrt(k))
-        assert (counter.additions, counter.multiplications) == \
-            (one.additions, one.multiplications)
-    assert np.abs(cyclic_ift_fast(cyclic_ft_fast(batch)) - batch).max() <= 1e-12
+    tol = 1e-12 * max(1.0, math.sqrt(k))
+    counter, one = OpCounter(), OpCounter()
+    spec = group_ft(batch, rs, counter)
+    for i, row in enumerate(batch):
+        single = group_ft(row, rs, one)
+        for rep in rs.reps:
+            assert np.abs(spec.blocks[rep.label][i]
+                          - single.blocks[rep.label]).max() <= tol
+    assert (counter.additions, counter.multiplications) == \
+        (one.additions, one.multiplications)
+    counter, one = OpCounter(), OpCounter()
+    back = group_ift(spec, rs, counter)
+    for i in range(len(batch)):
+        row_spec = GroupSpectrum({label: blk[i]
+                                  for label, blk in spec.blocks.items()})
+        assert np.abs(back[i] - group_ift(row_spec, rs, one)).max() <= tol
+    assert (counter.additions, counter.multiplications) == \
+        (one.additions, one.multiplications)
+    assert np.abs(back - batch).max() <= 1e-12
 
 
 def test_class_index_arrays():

@@ -105,12 +105,12 @@ def test_steinberg_images_of_basis_elements():
     e_k = dc.rep_idempotent
     x = FunctionOnS(S, GROUPOID, np.eye(len(S))[e_k].astype(complex))
     mat = steinberg_phi(x, 1)
-    pos = dc.idem_pos[e_k]
+    pos = dc.idempotent_ids.index(e_k)
     assert mat[pos, pos, 0] == 1 and np.abs(mat).sum() == 1
     for e, p in dc.connectors.items():
         x = FunctionOnS(S, GROUPOID, np.eye(len(S))[p].astype(complex))
         mat = steinberg_phi(x, 1)
-        assert mat[dc.idem_pos[e], dc.idem_pos[e_k], 0] == 1
+        assert mat[dc.idempotent_ids.index(e), pos, 0] == 1
         assert np.abs(mat).sum() == 1
 
 
@@ -199,7 +199,7 @@ def test_top_class_block_is_group_matrix():
     rs = Y.class_repsets[-1]
     for s in dc.element_ids[:3]:
         c = naive_ft(_delta(S, s), Y)
-        y = dc.local_of[s]
+        y = dc.coord_ids[0, 0].tolist().index(s)
         for entry in Y.entries:
             if entry.class_index == dc.index:
                 rep = rs.reps[entry.rep_index]
