@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,10 +52,10 @@ class InducedRepSet:
     # The group stage, one batch per list of operand objects (see _lower):
     # (ids, S.inverse[ids], [(matrix, d/|G|, product buffer slice), ...]).
     batches: list[tuple] = field(default_factory=list)
-    # fft's spectrum buffer: a (count, D, D) stack per block size D,
+    # The spectrum buffer: a (count, D, D) stack per block size D,
     # ascending; block_at[e] is entry e's place in the stacks, spectrum_at[i]
-    # the product entry at position i.  transposed_at[j]: product entry j
-    # read in the transposed block, among the blocks in entry order.
+    # the product entry at buffer position i, transposed_at[j] the buffer
+    # position of product entry j read in the transposed block.
     stacks: list[tuple[int, int]] = field(default_factory=list)
     block_at: list[int] = field(default_factory=list)
     spectrum_at: np.ndarray | None = None
@@ -91,13 +91,21 @@ class InducedRepSet:
                 f"induced dimensions square-sum to {total}, |S| = {len(S)}")
         self.stacks = [(len(list(run)), dim) for dim, run in
                        itertools.groupby(dims[i] for i in by_size)]
-        entry_start = list(itertools.accumulate((d * d for d in dims), initial=0))
         self.batches, self.spectrum_at, self.transposed_at = _lower(
-            S, self.class_repsets, self.class_entries, size_start, entry_start)
+            S, self.class_repsets, self.class_entries, size_start)
 
     @property
     def dims(self) -> list[int]:
         return [e.dim for e in self.entries]
+
+    def stack_views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """A spectrum buffer's (count, D, D) stacks, as views."""
+        views, lo = [], 0
+        for count, dim in self.stacks:
+            hi = lo + count * dim * dim
+            views.append(buffer[lo:hi].reshape(count, dim, dim))
+            lo = hi
+        return views
 
 
 @lru_cache(maxsize=None)
@@ -111,23 +119,22 @@ def _pair_positions(r: int, d: int, transpose: bool) -> np.ndarray:
     return out
 
 
-def _lower(S, class_repsets, class_entries, size_start, entry_start):
+def _lower(S, class_repsets, class_entries, size_start):
     """The group stage's batches, spectrum_at and transposed_at.  A class
     is its ids in its operands' element order, one row per idempotent pair
     (a, b), and its operands; classes with the same operand objects share
-    a batch.  Each operand's (rows, m)
-    product fills the next slice of the product buffer; its entry (pair
-    (a, b), column (p, q) of rep j) is entry (a d + p, b d + q) of rep j's
-    block, at size_start in the stacks and entry_start in entry order."""
+    a batch.  Each operand's (rows, m) product fills the next slice of the
+    product buffer; its entry (pair (a, b), column (p, q) of rep j) is
+    entry (a d + p, b d + q) of rep j's block, at size_start in the
+    spectrum buffer."""
     stacked = {}
     for dc, rs, entries in zip(S.d_classes, class_repsets, class_entries):
         order, operands = group_operands(rs)
         r = dc.num_idempotents
         pairs = dc.coord_ids.reshape(r * r, -1)
-        maps = [[(np.array([start[entries[i].offset] for i in idx])[:, None]
+        maps = [[(np.array([size_start[entries[i].offset] for i in idx])[:, None]
                   + _pair_positions(r, d, transpose)[:, None, :]).ravel()
-                 for start, transpose in ((size_start, False),
-                                          (entry_start, True))]
+                 for transpose in (False, True)]
                 for _, idx, d in operands]
         key = tuple(id(matrix) for matrix, _, _ in operands)
         _, members = stacked.setdefault(key, (operands, []))
@@ -156,27 +163,45 @@ def induce(S: SemigroupStructure,
 
 @dataclass
 class FourierCoefficients:
+    """A spectrum: one complex buffer of |S| entries in the repset's
+    stacks layout.  blocks are writable views of it in entry order."""
     repset: InducedRepSet
-    blocks: list[np.ndarray]
+    data: np.ndarray
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.repset.entries):
+        if self.data.shape != (len(self.repset.structure),):
+            raise ContractError(f"spectrum buffer has shape {self.data.shape}, "
+                                f"not ({len(self.repset.structure)},)")
+
+    @staticmethod
+    def from_blocks(Y: InducedRepSet,
+                    blocks: list[np.ndarray]) -> "FourierCoefficients":
+        """The spectrum with these blocks, in entry order, copied in."""
+        if len(blocks) != len(Y.entries):
             raise ContractError("one matrix per induced representation required")
-        for entry, blk in zip(self.repset.entries, self.blocks):
-            if blk.shape != (entry.dim, entry.dim):
-                raise ContractError(f"block {entry.label}: wrong shape {blk.shape}")
+        c = FourierCoefficients.zeros(Y)
+        for entry, view, blk in zip(Y.entries, c.blocks, blocks):
+            if np.shape(blk) != (entry.dim, entry.dim):
+                raise ContractError(
+                    f"block {entry.label}: wrong shape {np.shape(blk)}")
+            view[...] = blk
+        return c
 
     @staticmethod
     def zeros(Y: InducedRepSet) -> "FourierCoefficients":
-        return FourierCoefficients(
-            Y, [np.zeros((e.dim, e.dim), dtype=complex) for e in Y.entries])
+        return FourierCoefficients(Y, np.zeros(len(Y.structure), dtype=complex))
+
+    @cached_property
+    def blocks(self) -> list[np.ndarray]:
+        views = [v for stack in self.repset.stack_views(self.data) for v in stack]
+        return [views[k] for k in self.repset.block_at]
 
     def block(self, entry: InducedEntry, a: int, b: int) -> np.ndarray:
         d = entry.group_dim
         return self.blocks[entry.offset][a * d:(a + 1) * d, b * d:(b + 1) * d]
 
     def copy(self) -> "FourierCoefficients":
-        return FourierCoefficients(self.repset, [b.copy() for b in self.blocks])
+        return FourierCoefficients(self.repset, self.data.copy())
 
 
 # -- forward and inverse pipelines -----------------------------------------
@@ -184,8 +209,8 @@ class FourierCoefficients:
 def fft(f: FunctionOnS, Y: InducedRepSet,
         counter: OpCounter | None = None) -> FourierCoefficients:
     """Fast zeta, then per batch one gather of rows and per operand one
-    product into the product buffer; the blocks are views of that buffer
-    put in spectrum order."""
+    product into the product buffer, which one gather puts in spectrum
+    order."""
     S = f.structure
     if S is not Y.structure:
         raise ContractError("function and representation set disagree on S")
@@ -200,16 +225,12 @@ def fft(f: FunctionOnS, Y: InducedRepSet,
             np.matmul(rows, matrix, out=products[at].reshape(len(rows), -1))
         # a complete set's operands have |G| columns in all
         count_products(counter, *rows.shape, rows.shape[1])
-    spectrum, views = products[Y.spectrum_at], []
-    for count, dim in Y.stacks:
-        views += list(spectrum[:count * dim * dim].reshape(count, dim, dim))
-        spectrum = spectrum[count * dim * dim:]
-    return FourierCoefficients(Y, [views[k] for k in Y.block_at])
+    return FourierCoefficients(Y, products[Y.spectrum_at])
 
 
 def ifft(c: FourierCoefficients,
          counter: OpCounter | None = None) -> FunctionOnS:
-    """The transposed blocks' entries in product order; per batch, the
+    """The spectrum's transposed blocks in product order; per batch, the
     sum over operands of the scaled entries times the operand's transpose.
     Row (a, b) at y is then tr(F_ba rho(y)) summed over the reps, the
     groupoid coefficient of the inverse of (a, b, y), so it is written at
@@ -217,7 +238,7 @@ def ifft(c: FourierCoefficients,
     Y = c.repset
     S = Y.structure
     counter = counter if counter is not None else OpCounter()
-    spectrum = np.concatenate(c.blocks, axis=None)[Y.transposed_at]
+    spectrum = c.data[Y.transposed_at]
     gvals = np.empty(len(S), dtype=complex)
     for ids, inv_ids, operands in Y.batches:
         terms = ((spectrum[at].reshape(len(ids), -1) * scale) @ matrix.T
@@ -441,10 +462,15 @@ def convolve_naive(f: FunctionOnS, g: FunctionOnS) -> FunctionOnS:
 
 def multiply_spectra(c1: FourierCoefficients,
                      c2: FourierCoefficients) -> FourierCoefficients:
-    if c1.repset is not c2.repset:
+    """Blockwise products, one stacked product per block size."""
+    Y = c1.repset
+    if c2.repset is not Y:
         raise ContractError("spectra built against different representation sets")
-    return FourierCoefficients(
-        c1.repset, [a @ b for a, b in zip(c1.blocks, c2.blocks)])
+    out = np.empty(len(Y.structure), dtype=complex)
+    for a, b, o in zip(Y.stack_views(c1.data), Y.stack_views(c2.data),
+                       Y.stack_views(out)):
+        np.matmul(a, b, out=o)
+    return FourierCoefficients(Y, out)
 
 
 def convolve_fft(f: FunctionOnS, g: FunctionOnS, Y: InducedRepSet,
@@ -488,6 +514,19 @@ def _numbers(x, count: int) -> bool:
                     for v in x))
 
 
+def _finite(x, message: str) -> np.ndarray:
+    """x, a nested list of numbers, as a float array, or a ContractError
+    with message if a value is not finite or, as an integer, exceeds the
+    float range."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ContractError(message) from None
+    if not np.isfinite(arr).all():
+        raise ContractError(message)
+    return arr
+
+
 def function_from_json(S: SemigroupStructure, data: dict) -> FunctionOnS:
     data = _check_semigroup(S, data, "function")
     basis = data.get("basis", SEMIGROUP)
@@ -500,10 +539,10 @@ def function_from_json(S: SemigroupStructure, data: dict) -> FunctionOnS:
     if (ids < 0).any():
         key = list(values)[np.flatnonzero(ids < 0)[0]]
         raise StructureError(f"element {key!r} is not in the semigroup")
+    pairs = _finite(list(values.values()), "function file holds a non-finite "
+                    "value").reshape(-1, 2)
     vals = np.zeros(len(S), dtype=complex)
-    vals[ids] = [complex(*pair) for pair in values.values()]
-    if not np.isfinite(vals).all():
-        raise ContractError("function file holds a non-finite value")
+    vals[ids] = pairs.view(complex)[:, 0]
     return FunctionOnS(S, basis, vals)
 
 
@@ -528,8 +567,8 @@ def spectrum_from_json(Y: InducedRepSet, data: dict) -> FourierCoefficients:
     raw = data.get("blocks", [])
     if not isinstance(raw, list) or len(raw) != len(Y.entries):
         raise ContractError("spectrum file has the wrong number of blocks")
-    blocks = []
-    for entry, item in zip(Y.entries, raw):
+    c = FourierCoefficients.zeros(Y)
+    for entry, item, view in zip(Y.entries, raw, c.blocks):
         rep = Y.class_repsets[entry.class_index].reps[entry.rep_index]
         item = _json_object(item, f"spectrum block {rep.label}")
         if item.get("class") != entry.class_index or item.get("rep") != rep.label:
@@ -542,12 +581,9 @@ def spectrum_from_json(Y: InducedRepSet, data: dict) -> FourierCoefficients:
         if not _numbers(flat, 2 * entry.dim ** 2):
             raise ContractError(f"block {rep.label}: data is not "
                                 f"{2 * entry.dim ** 2} numbers")
-        flat = np.asarray(flat, dtype=float)
-        if not np.isfinite(flat).all():
-            raise ContractError(f"block {rep.label}: non-finite value")
-        arr = flat[0::2] + 1j * flat[1::2]
-        blocks.append(arr.reshape(entry.dim, entry.dim))
-    return FourierCoefficients(Y, blocks)
+        flat = _finite(flat, f"block {rep.label}: non-finite value")
+        view[...] = (flat[0::2] + 1j * flat[1::2]).reshape(entry.dim, entry.dim)
+    return c
 
 
 def dump_json(data: dict, path: str) -> None:

@@ -160,6 +160,7 @@ BAD_N = {"n_float": 2.7, "n_integral_float": 2.0, "n_string": "2"}
 BAD_FUNCTION_FILES = {
     "nan": ("value", [1.0, float("nan")]),
     "inf": ("value", [1.0, float("inf")]),
+    "huge_int": ("value", [10 ** 400, 0]),      # beyond the float range
     "string": ("value", ["a", 0]),
     "null": ("value", [None, 0]),
     "scalar": ("value", 5),
@@ -215,8 +216,9 @@ def test_function_key_outside_the_semigroup(tmp_path, capsys, family, key):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit", ["nan", "inf", "rows", "cols", "string",
-                                  "block_list", "document_list", *BAD_N])
+@pytest.mark.parametrize("edit", ["nan", "inf", "huge_int", "rows", "cols",
+                                  "string", "block_list", "document_list",
+                                  *BAD_N])
 def test_bad_spectrum_rejected(tmp_path, edit):
     S = make_structure("rook", 2)
     Y = induce(S)
@@ -227,6 +229,8 @@ def test_bad_spectrum_rejected(tmp_path, edit):
         blk["data"][0] = float("nan")
     elif edit == "inf":
         blk["data"][1] = float("-inf")
+    elif edit == "huge_int":
+        blk["data"][0] = 10 ** 400
     elif edit == "string":
         blk["data"][2] = "a"
     elif edit == "block_list":

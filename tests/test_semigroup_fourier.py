@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invsemifft.errors import ContractError
+from invsemifft.fast_transforms import fast_zeta
 from invsemifft.group_harmonics import GroupRepSet, Irrep, trivial_repset
 from invsemifft.semigroup_fourier import (ConjugatedRepSet,
                                           FourierCoefficients, convolve_fft,
@@ -372,6 +373,93 @@ def test_spectrum_json_round_trip():
     data["blocks"] = data["blocks"][:-1]
     with pytest.raises(ContractError):
         spectrum_from_json(Y, data)
+
+
+# -- the spectrum buffer -----------------------------------------------------
+
+def test_block_writes_reach_the_buffer_and_ifft():
+    S = make_structure("rook", 3)
+    Y = induce(S)
+    c = fft(random_function(S, np.random.default_rng(73)), Y)
+    before, i = c.data.copy(), len(Y.entries) - 1
+    c.blocks[i][0, 0] += 1.0
+    changed = np.flatnonzero(c.data != before)
+    assert len(changed) == 1
+    assert c.data[changed[0]] == before[changed[0]] + 1.0
+    expected = ifft(FourierCoefficients.from_blocks(
+        Y, [b.copy() for b in c.blocks]))
+    assert np.array_equal(ifft(c).values, expected.values)
+
+
+def test_copy_does_not_alias():
+    S = make_structure("rook", 3)
+    Y = induce(S)
+    c = fft(random_function(S, np.random.default_rng(74)), Y)
+    before = c.data.copy()
+    d = c.copy()
+    assert not np.shares_memory(c.data, d.data)
+    d.blocks[-1][0, 0] += 1.0
+    d.data[0] += 1.0
+    assert np.array_equal(c.data, before)
+
+
+def test_buffer_and_block_list_contracts():
+    S = make_structure("rook", 3)
+    Y = induce(S)
+    blocks = fft(random_function(S, np.random.default_rng(75)), Y).blocks
+    with pytest.raises(ContractError, match="one matrix per"):
+        FourierCoefficients.from_blocks(Y, blocks[:-1])
+    wrong = list(blocks)
+    wrong[-1] = np.zeros((Y.dims[-1] + 1,) * 2, dtype=complex)
+    with pytest.raises(ContractError, match="wrong shape"):
+        FourierCoefficients.from_blocks(Y, wrong)
+    for shape in ((len(S) - 1,), (len(S) + 1,), (1, len(S))):
+        with pytest.raises(ContractError, match="spectrum buffer"):
+            FourierCoefficients(Y, np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_multiply_spectra_is_the_blockwise_product(family, n, label):
+    S = make_structure(family, n, label)
+    Y = induce(S)
+    assert len(Y.stacks) == len(set(Y.dims))   # one stack per block size
+    rng = np.random.default_rng(76)
+    c1, c2 = (fft(random_function(S, rng), Y) for _ in range(2))
+    prod = multiply_spectra(c1, c2)
+    for a, b, p in zip(c1.blocks, c2.blocks, prod.blocks):
+        assert np.array_equal(p, a @ b)
+
+
+def test_corpus_has_mixed_block_sizes():
+    assert sum(len(induce(make_structure(*case)).stacks) > 1
+               for case in CORPUS) >= 5
+
+
+@pytest.mark.parametrize("family,n,label", CORPUS)
+def test_fft_blocks_are_the_product_buffer_in_spectrum_order(family, n, label):
+    """fft's blocks, byte for byte, are the group stage's products gathered
+    through spectrum_at, cut into one stack per block size and put in entry
+    order: the block list fft returned before the spectrum was one buffer.
+    No call on the way builds the block views."""
+    S = make_structure(family, n, label)
+    Y = induce(S)
+    f = random_function(S, np.random.default_rng(77))
+    c = fft(f, Y)
+    ifft(c)
+    multiply_spectra(c, c)
+    assert "blocks" not in vars(c)
+    g = fast_zeta(f).values
+    products = np.concatenate([(g[ids] @ matrix).ravel()
+                               for ids, _, operands in Y.batches
+                               for matrix, _, _ in operands])
+    spectrum, views = products[Y.spectrum_at], []
+    for count, dim in Y.stacks:
+        views += list(spectrum[:count * dim * dim].reshape(count, dim, dim))
+        spectrum = spectrum[count * dim * dim:]
+    expected = [views[k] for k in Y.block_at]
+    assert len(c.blocks) == len(expected)
+    for got, want in zip(c.blocks, expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_repset_mismatch_contract():
